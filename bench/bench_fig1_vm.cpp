@@ -93,8 +93,12 @@ void BM_PluginCountStepRound(benchmark::State& state) {
   const int plugins = static_cast<int>(state.range(0));
   BenchStack stack(/*max_plugins=*/64);
   for (int i = 0; i < plugins; ++i) {
+    // Appended: GCC 12 -O3 flags `"p" + std::to_string(i)` with a false
+    // -Wrestrict (GCC bug 105651).
+    std::string name = "p";
+    name += std::to_string(i);
     stack.Install(MakePackage(
-        "p" + std::to_string(i), fes::MakeSpinPluginBinary(10),
+        name, fes::MakeSpinPluginBinary(10),
         {{0, "in", static_cast<std::uint8_t>(i),
           pirte::PluginPortDirection::kRequired}}));
   }

@@ -257,36 +257,6 @@ support::Status UpsertUser(CatalogImage& image, std::uint32_t index,
   return support::OkStatus();
 }
 
-void UpsertModel(CatalogImage& image, VehicleModelConf conf) {
-  for (VehicleModelConf& existing : image.models) {
-    if (existing.model == conf.model) {
-      existing = std::move(conf);
-      return;
-    }
-  }
-  image.models.push_back(std::move(conf));
-}
-
-void UpsertApp(CatalogImage& image, App app) {
-  for (App& existing : image.apps) {
-    if (existing.name == app.name) {
-      existing = std::move(app);
-      return;
-    }
-  }
-  image.apps.push_back(std::move(app));
-}
-
-void UpsertBinding(CatalogImage& image, CatalogBinding binding) {
-  for (CatalogBinding& existing : image.bindings) {
-    if (existing.vin == binding.vin) {
-      existing = std::move(binding);
-      return;
-    }
-  }
-  image.bindings.push_back(std::move(binding));
-}
-
 }  // namespace
 
 bool IsCatalogRecord(std::span<const std::uint8_t> payload) {
@@ -381,8 +351,25 @@ support::Bytes EncodeCatalogImage(const CatalogImage& image) {
   return std::move(writer).Take();
 }
 
-support::Status ApplyCatalogRecord(std::span<const std::uint8_t> payload,
-                                   CatalogImage& image) {
+template <typename T, typename KeyOf>
+void CatalogFold::Upsert(std::vector<T>& items, Index& index, T item,
+                         KeyOf key_of) {
+  // Index what a kImage put in first.  First-seen wins on a duplicate
+  // key, as the first match of a front-to-back scan would.
+  for (; index.covered < items.size(); ++index.covered) {
+    index.positions.try_emplace(key_of(items[index.covered]), index.covered);
+  }
+  const auto [it, inserted] =
+      index.positions.try_emplace(key_of(item), items.size());
+  if (inserted) {
+    items.push_back(std::move(item));
+    index.covered = items.size();
+  } else {
+    items[it->second] = std::move(item);
+  }
+}
+
+support::Status CatalogFold::Apply(std::span<const std::uint8_t> payload) {
   if (!IsCatalogRecord(payload)) {
     return support::InvalidArgument("not a catalog record");
   }
@@ -395,14 +382,17 @@ support::Status ApplyCatalogRecord(std::span<const std::uint8_t> payload,
       if (!reader.exhausted()) {
         return support::Corrupted("trailing bytes in catalog user record");
       }
-      return UpsertUser(image, index, std::move(name));
+      return UpsertUser(image_, index, std::move(name));
     }
     case CatalogRecordKind::kModel: {
       DACM_ASSIGN_OR_RETURN(VehicleModelConf conf, DecodeModelBody(reader));
       if (!reader.exhausted()) {
         return support::Corrupted("trailing bytes in catalog model record");
       }
-      UpsertModel(image, std::move(conf));
+      Upsert(image_.models, models_, std::move(conf),
+             [](const VehicleModelConf& m) -> const std::string& {
+               return m.model;
+             });
       return support::OkStatus();
     }
     case CatalogRecordKind::kApp: {
@@ -410,7 +400,8 @@ support::Status ApplyCatalogRecord(std::span<const std::uint8_t> payload,
       if (!reader.exhausted()) {
         return support::Corrupted("trailing bytes in catalog app record");
       }
-      UpsertApp(image, std::move(app));
+      Upsert(image_.apps, apps_, std::move(app),
+             [](const App& a) -> const std::string& { return a.name; });
       return support::OkStatus();
     }
     case CatalogRecordKind::kBinding: {
@@ -421,7 +412,10 @@ support::Status ApplyCatalogRecord(std::span<const std::uint8_t> payload,
       if (!reader.exhausted()) {
         return support::Corrupted("trailing bytes in catalog binding record");
       }
-      UpsertBinding(image, std::move(binding));
+      Upsert(image_.bindings, bindings_, std::move(binding),
+             [](const CatalogBinding& b) -> const std::string& {
+               return b.vin;
+             });
       return support::OkStatus();
     }
     case CatalogRecordKind::kImage: {
@@ -470,7 +464,10 @@ support::Status ApplyCatalogRecord(std::span<const std::uint8_t> payload,
       if (!reader.exhausted()) {
         return support::Corrupted("trailing bytes in catalog image record");
       }
-      image = std::move(fresh);
+      image_ = std::move(fresh);
+      models_ = {};
+      apps_ = {};
+      bindings_ = {};
       return support::OkStatus();
     }
   }

@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "server/model.hpp"
@@ -88,11 +90,34 @@ support::Bytes EncodeCatalogBinding(const std::string& vin,
 /// a content-hashed blob pool.
 support::Bytes EncodeCatalogImage(const CatalogImage& image);
 
-/// Folds one catalog record into `image`: incremental kinds upsert
-/// (users by index, models/apps replace-by-name preserving first-seen
-/// order, bindings upsert by VIN); kImage replaces the image wholesale —
-/// records appended after a checkpoint land on top of its image.
-support::Status ApplyCatalogRecord(std::span<const std::uint8_t> payload,
-                                   CatalogImage& image);
+/// Folds a stream of catalog records into a CatalogImage: incremental
+/// kinds upsert (users by index, models/apps replace-by-name preserving
+/// first-seen order, bindings upsert by VIN); kImage replaces the image
+/// wholesale — records appended after a checkpoint land on top of its
+/// image.  Upserts go through keyed indexes, so folding N incremental
+/// records costs O(N), not O(N^2).
+class CatalogFold {
+ public:
+  support::Status Apply(std::span<const std::uint8_t> payload);
+  CatalogImage Take() && { return std::move(image_); }
+
+ private:
+  /// Key -> position in one of the image's vectors, covering its first
+  /// `covered` entries.  An upsert indexes the rest first, so a kImage
+  /// that no incremental record follows is never indexed at all.
+  struct Index {
+    std::unordered_map<std::string, std::size_t> positions;
+    std::size_t covered = 0;
+  };
+
+  template <typename T, typename KeyOf>
+  static void Upsert(std::vector<T>& items, Index& index, T item,
+                     KeyOf key_of);
+
+  CatalogImage image_;
+  Index models_;
+  Index apps_;
+  Index bindings_;
+};
 
 }  // namespace dacm::server

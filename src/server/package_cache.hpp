@@ -97,10 +97,12 @@ class PackageCache {
   /// Variants whose payload is still alive (some row holds it in flight).
   std::size_t live_payloads() const;
 
-  /// Builds a one-off manifest for a row replayed from the status DB: the
+  /// Builds the manifest for rows replayed from the status DB: the
   /// durable paragraph records only (plugin, ecu, unique ids), which is
-  /// exactly what convergence bookkeeping and rollback need.  Not interned
-  /// — a later materialization replaces it with a cached manifest.
+  /// exactly what convergence bookkeeping and rollback need.  Recovery
+  /// builds one per distinct (app, version, plug-in ids) cohort and
+  /// shares it across the cohort's rows.  Not interned here — a later
+  /// materialization replaces it with a cached manifest.
   static std::shared_ptr<const BatchManifest> RecoveredManifest(
       const std::string& app_name, const std::string& version,
       std::span<const StatusParagraph::PluginIds> plugins);

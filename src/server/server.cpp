@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
+#include <string_view>
 #include <thread>
 #include <tuple>
+#include <unordered_map>
 
 #include "pirte/package.hpp"
 #include "support/log.hpp"
@@ -1017,6 +1020,34 @@ support::Status TrustedServer::AppendDurable(
   return status;
 }
 
+namespace {
+
+/// A recovered row's manifest content: (app, version, plug-in ids).  Rows
+/// whose paragraphs agree on it share one manifest, whatever their VIN.
+struct CohortHash {
+  std::size_t operator()(const StatusParagraph* paragraph) const {
+    const std::hash<std::string_view> bytes;
+    std::size_t hash = bytes(paragraph->app) * 31 + bytes(paragraph->version);
+    for (const StatusParagraph::PluginIds& ids : paragraph->plugins) {
+      hash = hash * 31 + bytes(ids.plugin);
+      hash = hash * 31 + ids.ecu_id;
+      hash = hash * 31 +
+             bytes({reinterpret_cast<const char*>(ids.unique_ids.data()),
+                    ids.unique_ids.size()});
+    }
+    return hash;
+  }
+};
+
+struct CohortEqual {
+  bool operator()(const StatusParagraph* a, const StatusParagraph* b) const {
+    return a->app == b->app && a->version == b->version &&
+           a->plugins == b->plugins;
+  }
+};
+
+}  // namespace
+
 support::Status TrustedServer::RecoverInstallDb(
     std::span<const std::uint8_t> image) {
   std::unique_lock lock(catalog_mutex_);
@@ -1035,7 +1066,13 @@ support::Status TrustedServer::RecoverInstallDb(
     DACM_RETURN_IF_ERROR(RestoreCatalogLocked(replayed.catalog));
   }
   std::uint64_t rows_created = 0;
-  for (StatusParagraph& paragraph : replayed.paragraphs) {
+  // One immutable manifest per cohort, keyed by the first paragraph that
+  // named it; the paragraphs outlive the map.
+  std::unordered_map<const StatusParagraph*,
+                     std::shared_ptr<const BatchManifest>, CohortHash,
+                     CohortEqual>
+      cohorts;
+  for (const StatusParagraph& paragraph : replayed.paragraphs) {
     Shard& shard = ShardFor(paragraph.vin);
     const std::uint32_t vehicle = shard.store.Find(paragraph.vin);
     if (vehicle == kNil || !shard.store.bound(vehicle)) {
@@ -1079,16 +1116,20 @@ support::Status TrustedServer::RecoverInstallDb(
         break;
     }
 
-    // Rows come back with a one-off manifest carrying exactly what the
-    // paragraph recorded: plug-in names, placements, unique-id claims.
-    // Package bytes are NOT persisted; the first wave that needs the
-    // payload regenerates it from the re-uploaded catalog
+    // Rows come back with their cohort's manifest, carrying exactly what
+    // the paragraph recorded: plug-in names, placements, unique-id
+    // claims.  Package bytes are NOT persisted; the first wave that needs
+    // the payload regenerates it from the re-uploaded catalog
     // (MaterializeRowPackages).
+    auto [cohort, first_seen] = cohorts.try_emplace(&paragraph);
+    if (first_seen) {
+      cohort->second = PackageCache::RecoveredManifest(
+          paragraph.app, paragraph.version, paragraph.plugins);
+    }
     const std::uint32_t r = shard.store.AddRow(vehicle);
     FleetStore::InstallRow& row = shard.store.row(r);
     row.state = state;
-    row.manifest = PackageCache::RecoveredManifest(
-        paragraph.app, paragraph.version, paragraph.plugins);
+    row.manifest = cohort->second;
     const std::uint64_t full = FullMask(paragraph.plugins.size());
     row.acked = acked ? full : 0;
     row.ack_ok = ack_ok ? full : 0;

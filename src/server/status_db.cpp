@@ -1,7 +1,9 @@
 #include "server/status_db.hpp"
 
 #include <algorithm>
-#include <map>
+#include <functional>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "support/bytes.hpp"
@@ -10,45 +12,95 @@ namespace dacm::server {
 namespace {
 
 constexpr std::uint8_t kParagraphVersion = 1;
+constexpr std::uint64_t kFrameHeaderBytes = 8;  // u32 len + u32 crc
 
-support::Result<StatusParagraph> DecodeParagraph(
+/// One entry of a paragraph's plug-in run, viewed in place.
+struct PluginView {
+  std::string_view plugin;
+  std::uint32_t ecu_id = 0;
+  std::span<const std::uint8_t> unique_ids;
+};
+
+support::Result<PluginView> ReadPlugin(support::ByteReader& reader) {
+  PluginView view;
+  DACM_ASSIGN_OR_RETURN(view.plugin, reader.ReadStringView());
+  DACM_ASSIGN_OR_RETURN(view.ecu_id, reader.ReadU32());
+  DACM_ASSIGN_OR_RETURN(const std::uint32_t id_count, reader.ReadVarU32());
+  DACM_ASSIGN_OR_RETURN(view.unique_ids, reader.ReadRawView(id_count));
+  return view;
+}
+
+/// A paragraph validated where it lies in the log image: the views alias
+/// the image, and `plugins` is the already-checked plug-in run.
+struct ParagraphView {
+  std::string_view vin;
+  std::string_view app;
+  std::string_view version;
+  Want want = Want::kInstall;
+  DbState state = DbState::kNotInstalled;
+  std::uint32_t plugin_count = 0;
+  std::span<const std::uint8_t> plugins;
+};
+
+/// Every schema check of the paragraph encoding, with no allocation.
+support::Result<ParagraphView> ValidateParagraph(
     std::span<const std::uint8_t> payload) {
   support::ByteReader reader(payload);
   DACM_ASSIGN_OR_RETURN(const std::uint8_t version, reader.ReadU8());
   if (version != kParagraphVersion) {
     return support::Corrupted("unknown status paragraph version");
   }
-  StatusParagraph paragraph;
-  DACM_ASSIGN_OR_RETURN(paragraph.vin, reader.ReadString());
-  DACM_ASSIGN_OR_RETURN(paragraph.app, reader.ReadString());
-  DACM_ASSIGN_OR_RETURN(paragraph.version, reader.ReadString());
+  ParagraphView view;
+  DACM_ASSIGN_OR_RETURN(view.vin, reader.ReadStringView());
+  DACM_ASSIGN_OR_RETURN(view.app, reader.ReadStringView());
+  DACM_ASSIGN_OR_RETURN(view.version, reader.ReadStringView());
   DACM_ASSIGN_OR_RETURN(const std::uint8_t want, reader.ReadU8());
   DACM_ASSIGN_OR_RETURN(const std::uint8_t state, reader.ReadU8());
   if (want > static_cast<std::uint8_t>(Want::kDeinstall) ||
       state > static_cast<std::uint8_t>(DbState::kErrorState)) {
     return support::Corrupted("status paragraph enum out of range");
   }
-  paragraph.want = static_cast<Want>(want);
-  paragraph.state = static_cast<DbState>(state);
-  DACM_ASSIGN_OR_RETURN(const std::uint32_t plugin_count, reader.ReadVarU32());
-  paragraph.plugins.reserve(plugin_count);
-  for (std::uint32_t i = 0; i < plugin_count; ++i) {
-    StatusParagraph::PluginIds ids;
-    DACM_ASSIGN_OR_RETURN(ids.plugin, reader.ReadString());
-    DACM_ASSIGN_OR_RETURN(ids.ecu_id, reader.ReadU32());
-    DACM_ASSIGN_OR_RETURN(const std::uint32_t id_count, reader.ReadVarU32());
-    ids.unique_ids.reserve(id_count);
-    for (std::uint32_t j = 0; j < id_count; ++j) {
-      DACM_ASSIGN_OR_RETURN(const std::uint8_t unique, reader.ReadU8());
-      ids.unique_ids.push_back(unique);
-    }
-    paragraph.plugins.push_back(std::move(ids));
+  view.want = static_cast<Want>(want);
+  view.state = static_cast<DbState>(state);
+  DACM_ASSIGN_OR_RETURN(view.plugin_count, reader.ReadVarU32());
+  view.plugins = payload.subspan(payload.size() - reader.remaining());
+  for (std::uint32_t i = 0; i < view.plugin_count; ++i) {
+    DACM_RETURN_IF_ERROR(ReadPlugin(reader).status());
   }
   if (!reader.exhausted()) {
     return support::Corrupted("trailing bytes in status paragraph");
   }
+  return view;
+}
+
+/// Decodes a validated paragraph into owned storage.
+StatusParagraph Materialize(const ParagraphView& view) {
+  StatusParagraph paragraph;
+  paragraph.vin = view.vin;
+  paragraph.app = view.app;
+  paragraph.version = view.version;
+  paragraph.want = view.want;
+  paragraph.state = view.state;
+  paragraph.plugins.reserve(view.plugin_count);
+  support::ByteReader reader(view.plugins);
+  for (std::uint32_t i = 0; i < view.plugin_count; ++i) {
+    const PluginView plugin = *ReadPlugin(reader);  // ValidateParagraph passed
+    paragraph.plugins.push_back(
+        {std::string(plugin.plugin), plugin.ecu_id,
+         std::vector<std::uint8_t>(plugin.unique_ids.begin(),
+                                   plugin.unique_ids.end())});
+  }
   return paragraph;
 }
+
+using ParagraphKey = std::pair<std::string_view, std::string_view>;
+
+struct ParagraphKeyHash {
+  std::size_t operator()(const ParagraphKey& key) const {
+    const std::hash<std::string_view> hash;
+    return hash(key.first) * 31 + hash(key.second);
+  }
+};
 
 }  // namespace
 
@@ -106,31 +158,38 @@ support::Result<std::vector<StatusParagraph>> StatusDb::Replay(
 support::Result<StatusImage> StatusDb::ReplayImage(
     std::span<const std::uint8_t> data) {
   StatusImage image;
-  // Ordered map: the fold is last-writer-wins, the iteration order gives
-  // recovery its deterministic (vin, app) ordering.
-  std::map<std::pair<std::string, std::string>, StatusParagraph> latest;
-  auto fold = [&latest, &image](std::span<const std::uint8_t> payload) {
-    if (IsCatalogRecord(payload)) {
-      return ApplyCatalogRecord(payload, image.catalog);
-    }
-    auto paragraph = DecodeParagraph(payload);
-    DACM_RETURN_IF_ERROR(paragraph.status());
-    auto key = std::make_pair(paragraph->vin, paragraph->app);
-    if (paragraph->state == DbState::kNotInstalled) {
-      latest.erase(key);
-    } else {
-      latest.insert_or_assign(std::move(key), std::move(*paragraph));
-    }
+  CatalogFold catalog;
+  // Last-writer-wins per (vin, app) over views into `data`; a tombstone
+  // stays in the map as its own latest state and is skipped below.
+  std::unordered_map<ParagraphKey, ParagraphView, ParagraphKeyHash> latest;
+  auto fold = [&latest, &catalog](std::span<const std::uint8_t> payload) {
+    if (IsCatalogRecord(payload)) return catalog.Apply(payload);
+    auto view = ValidateParagraph(payload);
+    DACM_RETURN_IF_ERROR(view.status());
+    latest.insert_or_assign(ParagraphKey{view->vin, view->app}, *view);
     return support::OkStatus();
   };
   DACM_ASSIGN_OR_RETURN(image.stats, support::ReplayRecords(data, fold));
-  image.paragraphs.reserve(latest.size());
-  constexpr std::uint64_t kFrameHeaderBytes = 8;  // u32 len + u32 crc
+  image.catalog = std::move(catalog).Take();
+
+  // Only the survivors are decoded, in (vin, app) order so recovery is
+  // deterministic whatever the shards' append interleaving was.
+  std::vector<const ParagraphView*> survivors;
+  survivors.reserve(latest.size());
+  for (const auto& [key, view] : latest) {
+    if (view.state != DbState::kNotInstalled) survivors.push_back(&view);
+  }
+  std::sort(survivors.begin(), survivors.end(),
+            [](const ParagraphView* a, const ParagraphView* b) {
+              return std::tie(a->vin, a->app) < std::tie(b->vin, b->app);
+            });
+  image.paragraphs.reserve(survivors.size());
   image.live_bytes =
       kFrameHeaderBytes + EncodeCatalogImage(image.catalog).size();
-  for (auto& [key, paragraph] : latest) {
-    image.live_bytes += kFrameHeaderBytes + EncodeParagraph(paragraph).size();
-    image.paragraphs.push_back(std::move(paragraph));
+  for (const ParagraphView* view : survivors) {
+    image.paragraphs.push_back(Materialize(*view));
+    image.live_bytes +=
+        kFrameHeaderBytes + EncodeParagraph(image.paragraphs.back()).size();
   }
   return image;
 }

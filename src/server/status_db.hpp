@@ -53,6 +53,8 @@ struct StatusParagraph {
     std::string plugin;
     std::uint32_t ecu_id = 0;
     std::vector<std::uint8_t> unique_ids;  // recorded port-id claims
+
+    friend bool operator==(const PluginIds&, const PluginIds&) = default;
   };
 
   std::string vin;
@@ -61,6 +63,9 @@ struct StatusParagraph {
   Want want = Want::kInstall;
   DbState state = DbState::kNotInstalled;
   std::vector<PluginIds> plugins;
+
+  friend bool operator==(const StatusParagraph&,
+                         const StatusParagraph&) = default;
 };
 
 /// Everything a status-log replay folds out: the catalog (from
@@ -118,13 +123,17 @@ class StatusDb {
   /// survivors sorted by (vin, app) so recovery is deterministic
   /// regardless of original append interleaving across shards.  A torn
   /// tail is truncated silently; a record that decodes but fails
-  /// validation is kCorrupted.
+  /// validation is kCorrupted, even if a later paragraph supersedes it.
   static support::Result<std::vector<StatusParagraph>> Replay(
       std::span<const std::uint8_t> data);
 
   /// Full replay: folds catalog records (incremental and checkpoint
   /// kImage) alongside the paragraphs.  Replay() above is the
   /// paragraphs-only view of exactly this fold.
+  ///
+  /// Cost model: every paragraph is validated where it lies in `data`
+  /// (O(frames), no allocation) and the fold keeps views; only the
+  /// survivors are decoded into StatusParagraphs (O(live rows)).
   static support::Result<StatusImage> ReplayImage(
       std::span<const std::uint8_t> data);
 

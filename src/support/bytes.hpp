@@ -217,9 +217,14 @@ class ByteReader {
   }
   Result<std::span<const std::uint8_t>> ReadBlobView() {
     DACM_ASSIGN_OR_RETURN(std::uint32_t len, ReadU32());
-    DACM_RETURN_IF_ERROR(Need(len));
-    std::span<const std::uint8_t> b = data_.subspan(pos_, len);
-    pos_ += len;
+    return ReadRawView(len);
+  }
+  /// The next `n` bytes as one bounds-checked view (the mirror of
+  /// WriteRaw: the length is known to the caller, not prefixed).
+  Result<std::span<const std::uint8_t>> ReadRawView(std::size_t n) {
+    DACM_RETURN_IF_ERROR(Need(n));
+    std::span<const std::uint8_t> b = data_.subspan(pos_, n);
+    pos_ += n;
     return b;
   }
 

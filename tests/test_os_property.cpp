@@ -61,7 +61,8 @@ TEST_P(PriorityPermutation, ExecutionOrderFollowsPriorityNotActivationOrder) {
   std::vector<TaskId> tasks;
   for (int i = 0; i < static_cast<int>(activation_order.size()); ++i) {
     TaskConfig config;
-    config.name = "t" + std::to_string(i);
+    config.name = "t";
+    config.name += std::to_string(i);
     config.priority = static_cast<std::uint8_t>(10 + i);  // t0 lowest
     config.body = [&executed, i](EventMask) { executed.push_back(i); };
     tasks.push_back(*kernel.os.CreateTask(std::move(config)));
@@ -239,7 +240,8 @@ TEST(SchedulerFuzz, RandomPrioritiesAndActivationOrdersAlwaysDispatchByPriority)
     std::vector<TaskId> tasks;
     for (int i = 0; i < count; ++i) {
       TaskConfig config;
-      config.name = "t" + std::to_string(i);
+      config.name = "t";
+      config.name += std::to_string(i);
       config.priority = priorities[static_cast<std::size_t>(i)];
       config.body = [&executed, priority = priorities[static_cast<std::size_t>(i)]](
                         EventMask) { executed.push_back(priority); };

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "bsw/nvm.hpp"
 #include "fes/appgen.hpp"
@@ -13,6 +14,15 @@
 
 namespace dacm::pirte {
 namespace {
+
+/// "p<index>", the swarm's plug-in names.  Appended rather than written
+/// as `"p" + std::to_string(index)`, which GCC 12 at -O3 rejects with a
+/// false -Werror=restrict (GCC bug 105651).
+std::string PluginName(int index) {
+  std::string name = "p";
+  name += std::to_string(index);
+  return name;
+}
 
 /// Minimal single-ECU stack: one plug-in SW-C with a Type III out port
 /// (V4) facing a harness port; rebuildable over an external Nvm.
@@ -66,7 +76,7 @@ struct SwarmStack {
 
   InstallationPackage EchoPackage(int index) {
     return testutil::MakeEchoLoopbackPackage(
-        "p" + std::to_string(index), static_cast<std::uint8_t>(2 * index),
+        PluginName(index), static_cast<std::uint8_t>(2 * index),
         static_cast<std::uint8_t>(2 * index + 1));
   }
 
@@ -96,7 +106,7 @@ TEST_P(Swarm, PopulationInstallsRunsAndDrainsCompletely) {
             static_cast<std::uint64_t>(count));
 
   for (int i = 0; i < count; ++i) {
-    ASSERT_TRUE(stack.pirte->Uninstall("p" + std::to_string(i)).ok());
+    ASSERT_TRUE(stack.pirte->Uninstall(PluginName(i)).ok());
   }
   EXPECT_TRUE(stack.pirte->InstalledPluginNames().empty());
   EXPECT_EQ(stack.pirte->stats().uninstalls, static_cast<std::uint64_t>(count));
@@ -138,7 +148,7 @@ TEST_P(Swarm, OneTrappingMemberLeavesTheRestUntouched) {
   for (int i = 0; i < count; ++i) stack.Poke(i);
   EXPECT_EQ(stack.pirte->FindPlugin("p0")->state(), PluginState::kFaulted);
   for (int i = 1; i < count; ++i) {
-    EXPECT_EQ(stack.pirte->FindPlugin("p" + std::to_string(i))->state(),
+    EXPECT_EQ(stack.pirte->FindPlugin(PluginName(i))->state(),
               PluginState::kRunning)
         << i;
   }
@@ -155,7 +165,7 @@ TEST_P(Swarm, StopStartSweepKeepsStatesIndependent) {
   stack.simulator.Run();
   // Stop every second plug-in.
   for (int i = 0; i < count; i += 2) {
-    ASSERT_TRUE(stack.pirte->Stop("p" + std::to_string(i)).ok());
+    ASSERT_TRUE(stack.pirte->Stop(PluginName(i)).ok());
   }
   for (int i = 0; i < count; ++i) stack.Poke(i);
   // Only running members reacted.
@@ -163,7 +173,7 @@ TEST_P(Swarm, StopStartSweepKeepsStatesIndependent) {
             static_cast<std::uint64_t>(count / 2));
   // Restart and poke again: everyone reacts now.
   for (int i = 0; i < count; i += 2) {
-    ASSERT_TRUE(stack.pirte->Start("p" + std::to_string(i)).ok());
+    ASSERT_TRUE(stack.pirte->Start(PluginName(i)).ok());
   }
   for (int i = 0; i < count; ++i) stack.Poke(i);
   EXPECT_EQ(stack.pirte->stats().vm_activations,
@@ -208,7 +218,7 @@ TEST(SwarmFuzz, RandomMuxAndLifecycleInterleavingsMatchReferenceModel) {
   for (int op = 0; op < 500; ++op) {
     SCOPED_TRACE(::testing::Message() << "op " << op);
     const int plugin = static_cast<int>(rng.NextBelow(kPlugins));
-    const std::string name = "p" + std::to_string(plugin);
+    const std::string name = PluginName(plugin);
     switch (rng.NextBelow(8)) {
       case 0:
       case 1:
@@ -272,7 +282,7 @@ TEST(SwarmFuzz, RandomMuxAndLifecycleInterleavingsMatchReferenceModel) {
   std::size_t expected_population = 0;
   for (int i = 0; i < kPlugins; ++i) {
     if (model[i].installed) ++expected_population;
-    auto* instance = stack.pirte->FindPlugin("p" + std::to_string(i));
+    auto* instance = stack.pirte->FindPlugin(PluginName(i));
     ASSERT_EQ(instance != nullptr, model[i].installed) << i;
     if (instance != nullptr) {
       EXPECT_EQ(instance->state() == PluginState::kRunning, model[i].running) << i;

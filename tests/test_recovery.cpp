@@ -23,9 +23,13 @@
 // keep the status-DB writes from shard workers race-clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "fes/appgen.hpp"
@@ -40,6 +44,7 @@
 #include "sim/simulator.hpp"
 #include "support/bytes.hpp"
 #include "support/storage.hpp"
+#include "test_util.hpp"
 
 namespace dacm {
 namespace {
@@ -276,7 +281,9 @@ TEST(RecordStorageTest, WriterSyncsEveryNthFrameWhenAsked) {
   CountingSyncSink sink;
   RecordWriter writer(sink, /*sync_every_n_frames=*/3);
   for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(writer.Append(Payload("r" + std::to_string(i))).ok());
+    std::string record = "r";
+    record += std::to_string(i);
+    ASSERT_TRUE(writer.Append(Payload(record)).ok());
   }
   // 7 frames at N=3: syncs after frames 3 and 6, the 7th rides until the
   // next boundary — a power loss loses at most N-1 acknowledged frames.
@@ -454,6 +461,449 @@ TEST(StatusDbTest, EmptyLogReplaysToAnEmptyImage) {
   EXPECT_TRUE(replayed->catalog.empty());
   EXPECT_TRUE(replayed->paragraphs.empty());
   EXPECT_FALSE(replayed->stats.truncated);
+}
+
+// --- replay against hostile input and the decode-everything oracle ----------------
+
+/// One CRC-valid paragraph that breaks exactly one schema rule.  The
+/// counts claim 2^32-1 entries: replay must reject them, not reserve
+/// storage for them.
+enum class SchemaViolation {
+  kWantOutOfRange,
+  kTrailingByte,
+  kTruncatedIdRun,
+  kPluginCountPastEnd,
+};
+
+support::Bytes HostileParagraph(std::string_view vin, std::string_view app,
+                                SchemaViolation violation) {
+  support::ByteWriter payload;
+  payload.WriteU8(1);  // paragraph version
+  payload.WriteString(vin);
+  payload.WriteString(app);
+  payload.WriteString("1.0.0");
+  payload.WriteU8(violation == SchemaViolation::kWantOutOfRange ? 7 : 0);
+  payload.WriteU8(static_cast<std::uint8_t>(DbState::kInstalled));
+  switch (violation) {
+    case SchemaViolation::kWantOutOfRange:
+      payload.WriteVarU32(0);
+      break;
+    case SchemaViolation::kTrailingByte:
+      payload.WriteVarU32(0);
+      payload.WriteU8(0);
+      break;
+    case SchemaViolation::kTruncatedIdRun:
+      payload.WriteVarU32(1);
+      payload.WriteString("maps.p0");
+      payload.WriteU32(1);
+      payload.WriteVarU32(0xFFFFFFFF);  // two ids follow
+      payload.WriteU8(3);
+      payload.WriteU8(4);
+      break;
+    case SchemaViolation::kPluginCountPastEnd:
+      payload.WriteVarU32(0xFFFFFFFF);  // one plug-in follows
+      payload.WriteString("maps.p0");
+      payload.WriteU32(1);
+      payload.WriteVarU32(0);
+      break;
+  }
+  return payload.Take();
+}
+
+TEST(StatusDbTest, SchemaViolationsFailReplayEvenWhenSupersededOrErased) {
+  // Last-writer-wins must not launder a corrupt paragraph: the fold
+  // checks every frame, not just the (vin, app) pair's survivor.
+  for (const SchemaViolation violation :
+       {SchemaViolation::kWantOutOfRange, SchemaViolation::kTrailingByte,
+        SchemaViolation::kTruncatedIdRun,
+        SchemaViolation::kPluginCountPastEnd}) {
+    for (const DbState later : {DbState::kInstalled, DbState::kNotInstalled}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "violation " << static_cast<int>(violation)
+                   << ", followed by " << server::DbStateName(later));
+      MemorySink sink;
+      RecordWriter writer(sink);
+      ASSERT_TRUE(
+          writer.Append(HostileParagraph("V1", "maps", violation)).ok());
+      ASSERT_TRUE(writer
+                      .Append(StatusDb::EncodeParagraph(MakeParagraph(
+                          "V1", "maps", Want::kInstall, later)))
+                      .ok());
+      EXPECT_EQ(StatusDb::ReplayImage(sink.bytes()).status().code(),
+                ErrorCode::kCorrupted);
+    }
+  }
+}
+
+/// The paragraph decoder ReplayImage used to run on every frame.
+support::Result<StatusParagraph> OracleDecodeParagraph(
+    std::span<const std::uint8_t> payload) {
+  support::ByteReader reader(payload);
+  DACM_ASSIGN_OR_RETURN(const std::uint8_t version, reader.ReadU8());
+  if (version != 1) return support::Corrupted("unknown paragraph version");
+  StatusParagraph paragraph;
+  DACM_ASSIGN_OR_RETURN(paragraph.vin, reader.ReadString());
+  DACM_ASSIGN_OR_RETURN(paragraph.app, reader.ReadString());
+  DACM_ASSIGN_OR_RETURN(paragraph.version, reader.ReadString());
+  DACM_ASSIGN_OR_RETURN(const std::uint8_t want, reader.ReadU8());
+  DACM_ASSIGN_OR_RETURN(const std::uint8_t state, reader.ReadU8());
+  if (want > 1 || state > 4) return support::Corrupted("enum out of range");
+  paragraph.want = static_cast<Want>(want);
+  paragraph.state = static_cast<DbState>(state);
+  DACM_ASSIGN_OR_RETURN(const std::uint32_t plugin_count, reader.ReadVarU32());
+  for (std::uint32_t i = 0; i < plugin_count; ++i) {
+    StatusParagraph::PluginIds ids;
+    DACM_ASSIGN_OR_RETURN(ids.plugin, reader.ReadString());
+    DACM_ASSIGN_OR_RETURN(ids.ecu_id, reader.ReadU32());
+    DACM_ASSIGN_OR_RETURN(const std::uint32_t id_count, reader.ReadVarU32());
+    for (std::uint32_t j = 0; j < id_count; ++j) {
+      DACM_ASSIGN_OR_RETURN(const std::uint8_t unique, reader.ReadU8());
+      ids.unique_ids.push_back(unique);
+    }
+    paragraph.plugins.push_back(std::move(ids));
+  }
+  if (!reader.exhausted()) return support::Corrupted("trailing bytes");
+  return paragraph;
+}
+
+/// Replace-by-key with a front-to-back scan: the catalog upsert the keyed
+/// fold replaced.
+template <typename T>
+void OracleUpsert(std::vector<T>& items, T item, std::string T::*key) {
+  for (T& existing : items) {
+    if (existing.*key == item.*key) {
+      existing = std::move(item);
+      return;
+    }
+  }
+  items.push_back(std::move(item));
+}
+
+support::Status OracleApplyCatalog(std::span<const std::uint8_t> payload,
+                                   CatalogImage& image) {
+  const auto kind = static_cast<server::CatalogRecordKind>(payload[0]);
+  support::ByteReader reader(payload.subspan(1));
+  if (kind == server::CatalogRecordKind::kUser) {
+    DACM_ASSIGN_OR_RETURN(const std::uint32_t index, reader.ReadU32());
+    DACM_ASSIGN_OR_RETURN(std::string name, reader.ReadString());
+    if (!reader.exhausted()) return support::Corrupted("trailing bytes");
+    if (index < image.users.size()) {
+      return image.users[index].name == name
+                 ? support::OkStatus()
+                 : support::Corrupted("user index re-used");
+    }
+    if (index != image.users.size()) return support::Corrupted("user gap");
+    image.users.push_back(server::User{std::move(name), {}});
+    return support::OkStatus();
+  }
+  if (kind == server::CatalogRecordKind::kBinding) {
+    server::CatalogBinding binding;
+    DACM_ASSIGN_OR_RETURN(binding.vin, reader.ReadString());
+    DACM_ASSIGN_OR_RETURN(binding.model, reader.ReadString());
+    DACM_ASSIGN_OR_RETURN(binding.owner, reader.ReadU32());
+    if (!reader.exhausted()) return support::Corrupted("trailing bytes");
+    OracleUpsert(image.bindings, std::move(binding),
+                 &server::CatalogBinding::vin);
+    return support::OkStatus();
+  }
+  // Model, app and image bodies: a fresh one-record fold decodes them,
+  // leaving exactly that record's content in its image.
+  server::CatalogFold one;
+  DACM_RETURN_IF_ERROR(one.Apply(payload));
+  CatalogImage decoded = std::move(one).Take();
+  if (kind == server::CatalogRecordKind::kImage) {
+    image = std::move(decoded);
+  } else if (kind == server::CatalogRecordKind::kModel) {
+    OracleUpsert(image.models, std::move(decoded.models[0]),
+                 &server::VehicleModelConf::model);
+  } else {
+    OracleUpsert(image.apps, std::move(decoded.apps[0]), &server::App::name);
+  }
+  return support::OkStatus();
+}
+
+/// The decode-everything fold ReplayImage replaced: every paragraph
+/// decoded into owned storage, folded through an ordered map.
+support::Result<StatusImage> OracleReplayImage(
+    std::span<const std::uint8_t> data) {
+  StatusImage image;
+  std::map<std::pair<std::string, std::string>, StatusParagraph> latest;
+  auto fold = [&](std::span<const std::uint8_t> payload) -> support::Status {
+    if (server::IsCatalogRecord(payload)) {
+      return OracleApplyCatalog(payload, image.catalog);
+    }
+    DACM_ASSIGN_OR_RETURN(StatusParagraph paragraph,
+                          OracleDecodeParagraph(payload));
+    auto key = std::make_pair(paragraph.vin, paragraph.app);
+    if (paragraph.state == DbState::kNotInstalled) {
+      latest.erase(key);
+    } else {
+      latest.insert_or_assign(std::move(key), std::move(paragraph));
+    }
+    return support::OkStatus();
+  };
+  DACM_ASSIGN_OR_RETURN(image.stats, ReplayRecords(data, fold));
+  image.live_bytes = 8 + server::EncodeCatalogImage(image.catalog).size();
+  for (auto& [key, paragraph] : latest) {
+    image.live_bytes += 8 + StatusDb::EncodeParagraph(paragraph).size();
+    image.paragraphs.push_back(std::move(paragraph));
+  }
+  return image;
+}
+
+/// `prefix` followed by `n`.  Appended, not `prefix + std::to_string(n)`,
+/// which GCC 12 at -O3 rejects with a false -Werror=restrict.
+std::string Numbered(std::string_view prefix, std::uint64_t n) {
+  std::string name(prefix);
+  name += std::to_string(n);
+  return name;
+}
+
+/// A count as LEB128, sometimes with a redundant continuation byte: the
+/// decoder accepts it, and live_bytes must still count the minimal form.
+void WriteCount(support::ByteWriter& writer, std::uint32_t count, bool pad) {
+  support::ByteWriter varint;
+  varint.WriteVarU32(count);
+  support::Bytes bytes = varint.Take();
+  if (pad) {
+    bytes.back() |= 0x80;
+    bytes.push_back(0);
+  }
+  writer.WriteRaw(bytes);
+}
+
+support::Bytes RandomParagraph(sim::Rng& rng, std::size_t vins,
+                               std::size_t apps) {
+  support::ByteWriter payload;
+  payload.WriteU8(1);  // paragraph version
+  payload.WriteString(Numbered("VIN-", rng.NextBelow(vins)));
+  payload.WriteString(Numbered("app-", rng.NextBelow(apps)));
+  payload.WriteString(Numbered("1.", rng.NextBelow(3)));
+  payload.WriteU8(static_cast<std::uint8_t>(rng.NextBelow(2)));  // want
+  payload.WriteU8(static_cast<std::uint8_t>(rng.NextBelow(5)));  // state
+  const auto plugins = static_cast<std::uint32_t>(rng.NextBelow(4));
+  WriteCount(payload, plugins, rng.NextBool(0.1));
+  for (std::uint32_t i = 0; i < plugins; ++i) {
+    payload.WriteString(Numbered("p", i));
+    payload.WriteU32(static_cast<std::uint32_t>(rng.NextInRange(1, 3)));
+    // Now and then a run long enough to need a two-byte count.
+    const auto ids = static_cast<std::uint32_t>(
+        rng.NextBool(0.02) ? 130 : rng.NextBelow(5));
+    WriteCount(payload, ids, rng.NextBool(0.1));
+    for (std::uint32_t j = 0; j < ids; ++j) {
+      payload.WriteU8(static_cast<std::uint8_t>(rng.NextBelow(256)));
+    }
+  }
+  return payload.Take();
+}
+
+server::VehicleModelConf RandomModel(sim::Rng& rng) {
+  server::VehicleModelConf conf;
+  conf.model = Numbered("model-", rng.NextBelow(4));
+  conf.sw.platform_version = Numbered("1.", rng.NextBelow(3));
+  const auto ecus = static_cast<std::uint32_t>(rng.NextInRange(1, 2));
+  for (std::uint32_t ecu = 1; ecu <= ecus; ++ecu) {
+    conf.hw.ecus.push_back(
+        server::EcuInfo{ecu, Numbered("ECU", ecu), true, ecu == 1, 8, 4096});
+  }
+  return conf;
+}
+
+server::App RandomApp(sim::Rng& rng) {
+  server::App app;
+  app.name = Numbered("app-", rng.NextBelow(4));
+  app.version = Numbered("1.", rng.NextBelow(3));
+  app.developer = "dev";
+  const std::uint64_t plugins = rng.NextInRange(1, 2);
+  for (std::uint64_t i = 0; i < plugins; ++i) {
+    server::PluginDecl plugin;
+    plugin.name = Numbered("p", i);
+    // Few distinct binaries, so the kImage blob pool dedupes.
+    plugin.binary.assign(8, static_cast<std::uint8_t>(rng.NextBelow(3)));
+    app.plugins.push_back(std::move(plugin));
+  }
+  server::SwConf conf;
+  conf.vehicle_model = Numbered("model-", rng.NextBelow(4));
+  conf.placements.push_back(server::PlacementDecl{"p0", 1});
+  app.confs.push_back(std::move(conf));
+  return app;
+}
+
+server::CatalogBinding RandomBinding(sim::Rng& rng, std::size_t vins,
+                                     std::size_t users) {
+  return server::CatalogBinding{
+      Numbered("VIN-", rng.NextBelow(vins)),
+      Numbered("model-", rng.NextBelow(4)),
+      static_cast<std::uint32_t>(rng.NextBelow(users))};
+}
+
+/// A random status log: paragraphs over `vins` x `apps` pairs in every
+/// DbState (tombstones included) with catalog records interleaved, one
+/// kImage checkpoint mid-log and, half the time, a torn tail.
+support::Bytes RandomStatusLog(sim::Rng& rng) {
+  const std::size_t vins = rng.NextInRange(1, 40);
+  const std::size_t apps = rng.NextInRange(1, 5);
+  const std::size_t records = rng.NextBelow(300);
+  const std::size_t checkpoint_at = rng.NextBelow(records + 1);
+  std::vector<std::string> users;  // the log's user table so far
+  MemorySink sink;
+  RecordWriter writer(sink);
+  auto append = [&writer](const support::Bytes& payload) {
+    EXPECT_TRUE(writer.Append(payload).ok());
+  };
+  for (std::size_t r = 0; r < records; ++r) {
+    if (r == checkpoint_at) {
+      CatalogImage image;
+      image.users.resize(rng.NextInRange(1, 3));
+      for (std::size_t u = 0; u < image.users.size(); ++u) {
+        image.users[u].name = Numbered("user-", u);
+      }
+      image.models.resize(rng.NextBelow(3));
+      for (auto& model : image.models) model = RandomModel(rng);
+      image.apps.resize(rng.NextBelow(3));
+      for (auto& app : image.apps) app = RandomApp(rng);
+      image.bindings.resize(rng.NextBelow(vins + 1));
+      for (auto& binding : image.bindings) {
+        binding = RandomBinding(rng, vins, image.users.size());
+      }
+      users.clear();
+      for (const server::User& user : image.users) users.push_back(user.name);
+      append(server::EncodeCatalogImage(image));
+    }
+    const std::uint64_t kind = rng.NextBelow(20);
+    if (kind < 13) {
+      append(RandomParagraph(rng, vins, apps));
+    } else if (kind < 14) {
+      // A new user, or a repeat of a known one under its own index.
+      const std::size_t index = rng.NextBelow(users.size() + 1);
+      if (index == users.size()) users.push_back(Numbered("user-", index));
+      append(server::EncodeCatalogUser(static_cast<std::uint32_t>(index),
+                                       users[index]));
+    } else if (kind < 15) {
+      append(server::EncodeCatalogModel(RandomModel(rng)));
+    } else if (kind < 16) {
+      append(server::EncodeCatalogApp(RandomApp(rng)));
+    } else if (!users.empty()) {
+      const server::CatalogBinding binding =
+          RandomBinding(rng, vins, users.size());
+      append(server::EncodeCatalogBinding(binding.vin, binding.model,
+                                          binding.owner));
+    }
+  }
+  // One log in twenty carries a schema violation somewhere.
+  if (records > 0 && rng.NextBool(0.05)) {
+    append(HostileParagraph(
+        "VIN-0", "app-0",
+        static_cast<SchemaViolation>(rng.NextBelow(4))));
+  }
+  if (!sink.bytes().empty() && rng.NextBool(0.5)) {
+    const std::size_t size = sink.bytes().size();
+    sink.TruncateTo(size - rng.NextBelow(std::min<std::size_t>(size, 64) + 1));
+  }
+  return sink.bytes();
+}
+
+TEST(StatusDbTest, ReplayMatchesTheDecodeEverythingOracleOnRandomLogs) {
+  DACM_PROPERTY_RNG(rng);
+  std::size_t replayed_ok = 0;
+  std::size_t survivors = 0;
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    const support::Bytes log = RandomStatusLog(rng);
+    auto actual = StatusDb::ReplayImage(log);
+    auto expected = OracleReplayImage(log);
+    ASSERT_EQ(actual.ok(), expected.ok())
+        << actual.status().ToString() << " vs " << expected.status().ToString();
+    if (!actual.ok()) {
+      EXPECT_EQ(actual.status().code(), expected.status().code());
+      continue;
+    }
+    ++replayed_ok;
+    survivors += actual->paragraphs.size();
+    EXPECT_EQ(actual->paragraphs, expected->paragraphs);
+    EXPECT_EQ(server::EncodeCatalogImage(actual->catalog),
+              server::EncodeCatalogImage(expected->catalog));
+    EXPECT_EQ(actual->stats.records, expected->stats.records);
+    EXPECT_EQ(actual->stats.valid_bytes, expected->stats.valid_bytes);
+    EXPECT_EQ(actual->stats.truncated, expected->stats.truncated);
+    EXPECT_EQ(actual->live_bytes, expected->live_bytes);
+  }
+  // The generator must mostly produce replayable logs with live rows, or
+  // the comparison above proves little.
+  EXPECT_GT(replayed_ok, 200u);
+  EXPECT_GT(survivors, 1000u);
+}
+
+TEST(StatusDbTest, RawLogOf20kBindingsKeepsFirstSeenOrderAndLastWriter) {
+  // 16k VINs bound once, then 4k re-binds over the first 1k VINs (each
+  // re-bound about four times).  A front-to-back scan per record made
+  // this fold quadratic; the keyed fold must land on the same image.
+  constexpr std::size_t kVins = 16'000;
+  constexpr std::size_t kRebinds = 4'000;
+  MemorySink sink;
+  RecordWriter writer(sink);
+  ASSERT_TRUE(writer.Append(server::EncodeCatalogUser(0, "ops")).ok());
+  ASSERT_TRUE(writer.Append(server::EncodeCatalogUser(1, "fleet")).ok());
+  std::vector<server::CatalogBinding> expected;
+  for (std::size_t i = 0; i < kVins; ++i) {
+    expected.push_back({Numbered("VIN-", i), "model-0", 0});
+    ASSERT_TRUE(writer
+                    .Append(server::EncodeCatalogBinding(
+                        expected.back().vin, expected.back().model, 0))
+                    .ok());
+  }
+  for (std::size_t i = 0; i < kRebinds; ++i) {
+    server::CatalogBinding& rebound = expected[(i * 7919) % 1000];
+    rebound.model = Numbered("model-", i % 3 + 1);
+    rebound.owner = static_cast<std::uint32_t>(i % 2);
+    ASSERT_TRUE(writer
+                    .Append(server::EncodeCatalogBinding(
+                        rebound.vin, rebound.model, rebound.owner))
+                    .ok());
+  }
+
+  auto replayed = StatusDb::ReplayImage(sink.bytes());
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(replayed->stats.records, 2 + kVins + kRebinds);
+  EXPECT_EQ(replayed->catalog.users.size(), 2u);
+  const std::vector<server::CatalogBinding>& bindings =
+      replayed->catalog.bindings;
+  ASSERT_EQ(bindings.size(), kVins);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < kVins; ++i) {
+    if (bindings[i].vin != expected[i].vin ||
+        bindings[i].model != expected[i].model ||
+        bindings[i].owner != expected[i].owner) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(StatusDbTest, RecordsAfterACheckpointUpsertIntoItsImage) {
+  CatalogImage image;
+  image.users.push_back(server::User{"ops", {}});
+  image.bindings.push_back(server::CatalogBinding{"V1", "m0", 0});
+  image.bindings.push_back(server::CatalogBinding{"V2", "m0", 0});
+  MemorySink sink;
+  RecordWriter writer(sink);
+  // Bound before the checkpoint, so the kImage drops it.
+  ASSERT_TRUE(writer.Append(server::EncodeCatalogBinding("V9", "m0", 0)).ok());
+  ASSERT_TRUE(writer.Append(server::EncodeCatalogImage(image)).ok());
+  ASSERT_TRUE(writer.Append(server::EncodeCatalogBinding("V2", "m1", 0)).ok());
+  ASSERT_TRUE(writer.Append(server::EncodeCatalogBinding("V3", "m0", 0)).ok());
+  ASSERT_TRUE(writer.Append(server::EncodeCatalogBinding("V1", "m2", 0)).ok());
+
+  auto replayed = StatusDb::ReplayImage(sink.bytes());
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  const std::vector<server::CatalogBinding>& bindings =
+      replayed->catalog.bindings;
+  ASSERT_EQ(bindings.size(), 3u);
+  EXPECT_EQ(bindings[0].vin, "V1");
+  EXPECT_EQ(bindings[0].model, "m2");
+  EXPECT_EQ(bindings[1].vin, "V2");
+  EXPECT_EQ(bindings[1].model, "m1");
+  EXPECT_EQ(bindings[2].vin, "V3");
 }
 
 // --- campaign journal --------------------------------------------------------------
@@ -879,6 +1329,69 @@ std::string RecoverDescribeFleet(RecoveryRig& rig, std::uint32_t shard_count,
   const support::Status recovered = fresh.RecoverInstallDb(image);
   EXPECT_TRUE(recovered.ok()) << recovered.ToString();
   return fresh.DescribeFleet();
+}
+
+TEST(RecoveryTest, RecoveredRowsShareOneManifestPerCohortAndKeepTheirIds) {
+  // V1 and V3 hold maps 1.0.0 with the same port-id claims, V2 holds it
+  // with other claims, and every VIN also holds nav.  Cohorts are found
+  // by content, so V1 and V3 share one manifest although other rows sit
+  // between them, and V2 keeps its own ids.
+  server::VehicleModelConf model;
+  model.model = "m";
+  model.hw.ecus.push_back(server::EcuInfo{1, "ECU1", true, true, 8, 4096});
+  MemorySink sink;
+  RecordWriter writer(sink);
+  ASSERT_TRUE(writer.Append(server::EncodeCatalogUser(0, "ops")).ok());
+  ASSERT_TRUE(writer.Append(server::EncodeCatalogModel(model)).ok());
+  for (const char* vin : {"V1", "V2", "V3"}) {
+    ASSERT_TRUE(writer.Append(server::EncodeCatalogBinding(vin, "m", 0)).ok());
+  }
+  auto append = [&writer](const std::string& vin, const std::string& app,
+                          std::vector<std::uint8_t> ids) {
+    StatusParagraph paragraph =
+        MakeParagraph(vin, app, Want::kInstall, DbState::kInstalled);
+    paragraph.plugins.push_back({app + ".p0", 1, std::move(ids)});
+    EXPECT_TRUE(writer.Append(StatusDb::EncodeParagraph(paragraph)).ok());
+  };
+  append("V1", "maps", {3, 4});
+  append("V1", "nav", {5});
+  append("V2", "maps", {6, 7});
+  append("V2", "nav", {5});
+  append("V3", "nav", {5});
+  append("V3", "maps", {3, 4});
+
+  sim::Simulator simulator;
+  sim::Network network{simulator};
+  server::TrustedServer server(network, "srv-cohort:1",
+                               server::ServerOptions{/*shard_count=*/2});
+  ASSERT_TRUE(server.RecoverInstallDb(sink.bytes()).ok());
+  auto installed = [&server](const std::string& vin, const std::string& app) {
+    auto vehicle = server.FindVehicle(vin);
+    EXPECT_NE(vehicle, nullptr);
+    const server::InstalledApp* row =
+        vehicle == nullptr ? nullptr : vehicle->FindInstalled(app);
+    EXPECT_NE(row, nullptr);
+    return row == nullptr ? server::InstalledApp{} : *row;
+  };
+  auto ids = [](const server::InstalledApp& row) {
+    std::vector<std::uint8_t> out;
+    for (const pirte::PicEntry& entry : row.plugins.at(0).pic.entries) {
+      out.push_back(entry.unique_id);
+    }
+    return out;
+  };
+  const server::InstalledApp v1_maps = installed("V1", "maps");
+  const server::InstalledApp v2_maps = installed("V2", "maps");
+  const server::InstalledApp v3_maps = installed("V3", "maps");
+  EXPECT_EQ(ids(v1_maps), (std::vector<std::uint8_t>{3, 4}));
+  EXPECT_EQ(ids(v2_maps), (std::vector<std::uint8_t>{6, 7}));
+  EXPECT_EQ(ids(v3_maps), (std::vector<std::uint8_t>{3, 4}));
+  // One manifest per cohort: its uninstall envelope is built once and
+  // shared by refcount.
+  EXPECT_EQ(v1_maps.uninstall_bytes.data(), v3_maps.uninstall_bytes.data());
+  EXPECT_NE(v1_maps.uninstall_bytes.data(), v2_maps.uninstall_bytes.data());
+  EXPECT_EQ(installed("V1", "nav").uninstall_bytes.data(),
+            installed("V3", "nav").uninstall_bytes.data());
 }
 
 TEST(RecoveryTest, CompactedLogRecoversIdenticallyToTheRawLog) {

@@ -217,6 +217,21 @@ TEST(BytesTest, ViewTruncationDetected) {
   EXPECT_FALSE(reader2.ReadBlobView().ok());
 }
 
+TEST(BytesTest, RawViewIsOneBoundsCheckedSpan) {
+  ByteWriter writer;
+  writer.WriteRaw(ToBytes("abcdef"));
+  ByteReader reader(writer.bytes());
+  auto head = reader.ReadRawView(4);
+  ASSERT_TRUE(head.ok());
+  EXPECT_EQ(ToString(*head), "abcd");
+  EXPECT_EQ(head->data(), writer.bytes().data());
+  // Asking past the end fails without consuming: the tail is still there.
+  EXPECT_EQ(reader.ReadRawView(3).status().code(), ErrorCode::kCorrupted);
+  EXPECT_EQ(reader.remaining(), 2u);
+  ASSERT_TRUE(reader.ReadRawView(2).ok());
+  EXPECT_TRUE(reader.exhausted());
+}
+
 TEST(BytesTest, ReserveDoesNotChangeContents) {
   ByteWriter writer;
   writer.WriteU16(0xABCD);

@@ -203,8 +203,11 @@ TEST(ProgramRoundTrip, ManyEntriesSurvive) {
     source += ".entry e" + std::to_string(i) + " l" + std::to_string(i) + "\n";
   }
   for (int i = 0; i < 32; ++i) {
-    source += "l" + std::to_string(i) + ": PUSH " + std::to_string(i) +
-              "\nSTORE 1\nHALT\n";
+    source += "l";
+    source += std::to_string(i);
+    source += ": PUSH ";
+    source += std::to_string(i);
+    source += "\nSTORE 1\nHALT\n";
   }
   auto program = Assemble(source);
   ASSERT_TRUE(program.ok());

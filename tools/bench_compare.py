@@ -66,6 +66,10 @@ KEY_METRICS = [
      "bytes_per_second", "recovery replay bytes/s (1k fleet, raw log)"),
     ("bench_fleet", "BM_RecoveryReplay/fleet:1000/checkpoint:1/real_time",
      "time_to_serviceable_ms", "time-to-serviceable ms (1k, checkpointed)"),
+    # The 10k raw log replays ten times the 1k row's records, so a fold
+    # that turns super-linear (a per-record scan) shows here first.
+    ("bench_fleet", "BM_RecoveryReplay/fleet:10000/checkpoint:0/real_time",
+     "time_to_serviceable_ms", "time-to-serviceable ms (10k, raw log)"),
     # Tail latencies from the log2 histograms (the telemetry PR): the
     # sim-time push->ack round trip and vehicle deploy p99 at the tracked
     # shape, the wall-time parallel ack-flush and WAL-fsync p99, and the
