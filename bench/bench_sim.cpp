@@ -1,29 +1,23 @@
 // SIM — the discrete-event kernel itself.
 //
-// PR 5 rebuilt the Simulator's pending-event store as a hierarchical timer
-// wheel with pooled nodes and inline callback storage (sim/event_queue.hpp)
-// and made sim::Network delivery zero-copy.  These benchmarks put numbers
-// on that rebuild:
+// The Simulator's pending-event store is a hierarchical timer wheel with
+// pooled nodes and inline callback storage (sim/event_queue.hpp).  These
+// benchmarks put numbers on it:
 //
-//   * BM_Wheel* / BM_Legacy* pairs — identical deterministic schedules
-//     driven through the production kernel and through the exact core it
-//     replaced (std::priority_queue<Event> + std::function callbacks,
-//     reimplemented below as the baseline).  Three schedule shapes:
-//       - NearMonotonic: mixed latencies/alarm periods, the fleet pattern;
-//       - SameTimestampStorm: N events at one timestamp (ack storms);
+//   * BM_Wheel* — deterministic schedules driven through the production
+//     kernel, in three shapes:
+//       - ScheduleFire: mixed latencies/alarm periods, the fleet pattern;
+//       - Storm: N events at one timestamp (ack storms);
 //       - TimerChurn: a self-rescheduling alarm chain (OS tick pattern).
-//   * BM_StagedSendDrain — off-thread Send()s staged into the pooled FIFO
-//     and folded in at the drain barrier: the worker->simulator handoff
-//     rate that bounds how fast sharded campaign pushes can be absorbed.
+//     The ordering of the priority-queue core the wheel replaced lives on
+//     as the reference kernel in test_sim_property; CHANGES.md records
+//     the wheel's measured 2x over that core.
 //   * BM_LaneWindowedFire — the parallel-lane engine (PR 10): a
 //     self-rescheduling load spread over N lanes executed in conservative
 //     time windows with merge barriers.  The lanes=1 row is the serial
 //     engine; the delta against it is the pure lane-machinery overhead
 //     (on a single-CPU runner, its upper bound).  `--lanes=1,2,4` replaces
 //     the lane axis.
-//
-// The acceptance bar for the PR: >= 2x schedule+fire throughput for the
-// wheel rows over their legacy twins on the CI-class runner.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -31,71 +25,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <memory>
-#include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "sim/network.hpp"
 #include "sim/simulator.hpp"
-#include "support/shared_bytes.hpp"
 
 namespace dacm::bench {
 namespace {
 
-// The PR-4-era event core, verbatim: a binary-heap priority queue of
-// std::function events with a FIFO sequence tie-break.  Kept here (not in
-// src/) purely as the measurement baseline.
-class LegacyKernel {
- public:
-  using Callback = std::function<void()>;
-
-  sim::SimTime Now() const { return now_; }
-
-  void ScheduleAt(sim::SimTime at, Callback fn) {
-    if (at < now_) at = now_;
-    queue_.push(Event{at, next_seq_++, std::move(fn)});
-  }
-  void ScheduleAfter(sim::SimTime delay, Callback fn) {
-    ScheduleAt(now_ + delay, std::move(fn));
-  }
-
-  std::size_t Run() {
-    std::size_t processed = 0;
-    while (!queue_.empty()) {
-      Event ev = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      now_ = ev.at;
-      ev.fn();
-      ++processed;
-    }
-    return processed;
-  }
-
- private:
-  struct Event {
-    sim::SimTime at;
-    std::uint64_t seq;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  sim::SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-};
-
-/// Deterministic delay stream shared by both kernels: the near-monotonic
-/// mixture the fleet pipeline produces (dominant short network latencies,
-/// alarm periods, an occasional long backoff).
+/// Deterministic delay stream: the near-monotonic mixture the fleet
+/// pipeline produces (dominant short network latencies, alarm periods, an
+/// occasional long backoff).
 class DelayStream {
  public:
   sim::SimTime Next() {
@@ -115,10 +56,9 @@ class DelayStream {
   std::uint64_t state_ = 0x51D0C0DE;
 };
 
-template <typename Kernel>
-void ScheduleFireNearMonotonic(benchmark::State& state) {
+void BM_WheelScheduleFire(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
-  Kernel kernel;
+  sim::Simulator kernel;
   DelayStream delays;
   std::uint64_t fired = 0;
   for (auto _ : state) {
@@ -131,10 +71,9 @@ void ScheduleFireNearMonotonic(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
 }
 
-template <typename Kernel>
-void SameTimestampStorm(benchmark::State& state) {
+void BM_WheelStorm(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
-  Kernel kernel;
+  sim::Simulator kernel;
   std::uint64_t fired = 0;
   for (auto _ : state) {
     const sim::SimTime at = kernel.Now() + sim::kMillisecond;
@@ -147,18 +86,15 @@ void SameTimestampStorm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
 }
 
-template <typename Kernel>
-void TimerChurn(benchmark::State& state) {
+void BM_WheelTimerChurn(benchmark::State& state) {
   const auto chain = static_cast<std::size_t>(state.range(0));
-  Kernel kernel;
+  sim::Simulator kernel;
   std::size_t remaining = 0;
   // A periodic alarm rescheduling itself: one live event at a time, the
   // depth-1 pattern the OS tick and watchdog produce.  The ticker is a
-  // plain 16-byte callable, so each kernel erases it natively (the legacy
-  // core *must* wrap it in std::function — that was the point of the
-  // inline-callback rework).
+  // plain 16-byte callable, stored inline in the event node.
   struct Ticker {
-    Kernel* kernel;
+    sim::Simulator* kernel;
     std::size_t* remaining;
     void operator()() const {
       if (--*remaining > 0) kernel->ScheduleAfter(sim::kMillisecond, *this);
@@ -173,71 +109,9 @@ void TimerChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(chain));
 }
 
-void BM_WheelScheduleFire(benchmark::State& state) {
-  ScheduleFireNearMonotonic<sim::Simulator>(state);
-}
-void BM_LegacyScheduleFire(benchmark::State& state) {
-  ScheduleFireNearMonotonic<LegacyKernel>(state);
-}
-void BM_WheelStorm(benchmark::State& state) {
-  SameTimestampStorm<sim::Simulator>(state);
-}
-void BM_LegacyStorm(benchmark::State& state) {
-  SameTimestampStorm<LegacyKernel>(state);
-}
-void BM_WheelTimerChurn(benchmark::State& state) {
-  TimerChurn<sim::Simulator>(state);
-}
-void BM_LegacyTimerChurn(benchmark::State& state) {
-  TimerChurn<LegacyKernel>(state);
-}
-
 BENCHMARK(BM_WheelScheduleFire)->Arg(1024)->Arg(16384);
-BENCHMARK(BM_LegacyScheduleFire)->Arg(1024)->Arg(16384);
 BENCHMARK(BM_WheelStorm)->Arg(4096);
-BENCHMARK(BM_LegacyStorm)->Arg(4096);
 BENCHMARK(BM_WheelTimerChurn)->Arg(8192);
-BENCHMARK(BM_LegacyTimerChurn)->Arg(8192);
-
-// Off-thread staged sends drained at the barrier: a worker thread stages a
-// burst (the sharded campaign push pattern), the simulation thread folds
-// it in and delivers.  Measures the full pooled-FIFO handoff + zero-copy
-// delivery path, not just the queue.
-void BM_StagedSendDrain(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  sim::Simulator simulator;
-  sim::Network network(simulator, sim::kMicrosecond);
-  std::shared_ptr<sim::NetPeer> server_side;
-  if (!network.Listen("srv", [&](std::shared_ptr<sim::NetPeer> peer) {
-                 server_side = std::move(peer);
-               }).ok()) {
-    state.SkipWithError("listen failed");
-    return;
-  }
-  auto client = network.Connect("srv");
-  if (!client.ok()) {
-    state.SkipWithError("connect failed");
-    return;
-  }
-  simulator.Run();
-  std::uint64_t received = 0;
-  server_side->SetReceiveHandler(
-      [&received](const support::SharedBytes&) { ++received; });
-
-  const support::SharedBytes payload(support::Bytes(256, 0xAB));
-  for (auto _ : state) {
-    std::thread producer([&]() {
-      for (std::size_t i = 0; i < batch; ++i) {
-        (void)(*client)->Send(payload);  // refcount bump, no copy
-      }
-    });
-    producer.join();
-    simulator.Run();
-  }
-  benchmark::DoNotOptimize(received);
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_StagedSendDrain)->Arg(4096)->UseRealTime();
 
 // The lane engine under a lane-local load: `batch` seed events spread
 // round-robin over the lanes, each chaining three intra-lane

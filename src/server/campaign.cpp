@@ -627,11 +627,6 @@ void CampaignEngine::Tick(std::size_t index, std::uint64_t epoch) {
     return;
   }
   PushWave(campaign, retry);
-  // The wave ran inside a simulator event, so its worker-staged sends
-  // would otherwise wait for the queue to drain (which engine ticks keep
-  // non-empty).  Fold them in now: deliveries schedule at push time +
-  // latency, through the same deterministic peer-order barrier.
-  simulator_.DrainStaged();
   ScheduleTick(index, simulator_.Now() + campaign.policy.settle_delay);
   // Commit *after* the pushes went out: at-least-once.  A crash inside
   // this tick replays the wave from the previous commit; the server's

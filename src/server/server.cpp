@@ -1,6 +1,7 @@
 #include "server/server.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <functional>
 #include <string_view>
@@ -166,8 +167,8 @@ TrustedServer::TrustedServer(sim::Network& network, std::string address,
       address_(std::move(address)),
       options_(options),
       shards_(options.shard_count == 0 ? 1 : options.shard_count),
-      // One worker per shard; the simulation thread only coordinates, so
-      // every campaign send goes through the deterministic staged path.
+      // One worker per shard; the simulation thread only coordinates and
+      // sends what the workers recorded (see FanOut).
       pool_(shards_.size() == 1 ? 0 : shards_.size()) {
   if (options_.status_sink != nullptr) {
     status_db_ = std::make_unique<StatusDb>(*options_.status_sink,
@@ -467,48 +468,60 @@ support::Result<CampaignReport> TrustedServer::DeployCampaign(
   if (app_it == apps_.end()) return support::NotFound("app: " + app_name);
   const App& app = app_it->second;
 
-  // Partition the fleet so every worker touches exactly one shard.
-  std::vector<std::vector<const std::string*>> by_shard(shards_.size());
-  for (const std::string& vin : vins) {
-    by_shard[ShardIndex(vin)].push_back(&vin);
-  }
-
-  struct ShardOutcome {
-    std::vector<std::pair<std::string, support::Status>> failures;
-    std::vector<std::uint64_t> ns;
-  };
-  std::vector<ShardOutcome> outcomes(shards_.size());
-
-  pool_.ParallelFor(shards_.size(), [&](std::size_t index) {
-    Shard& shard = shards_[index];
-    ShardOutcome& outcome = outcomes[index];
-    outcome.ns.reserve(by_shard[index].size());
-    for (const std::string* vin : by_shard[index]) {
-      const auto start = std::chrono::steady_clock::now();
-      auto status = DeployOnShard(shard, user, *vin, app, /*batched=*/true);
-      outcome.ns.push_back(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count()));
-      if (!status.ok()) outcome.failures.emplace_back(*vin, std::move(status));
-    }
+  std::vector<support::Status> statuses(vins.size());
+  CampaignReport report;
+  report.per_vehicle_ns.resize(vins.size());
+  FanOut(vins, [&](Shard& shard, std::size_t i) {
+    const auto start = std::chrono::steady_clock::now();
+    statuses[i] = DeployOnShard(shard, user, vins[i], app, /*batched=*/true);
+    report.per_vehicle_ns[i] = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
   });
 
-  CampaignReport report;
-  report.per_vehicle_ns.reserve(vins.size());
   ServerMetrics& metrics = ServerMetrics::Get();
-  for (ShardOutcome& outcome : outcomes) {
-    report.rejected += outcome.failures.size();
-    for (auto& failure : outcome.failures) {
-      report.failures.push_back(std::move(failure));
+  for (std::size_t i = 0; i < vins.size(); ++i) {
+    metrics.deploy_push_nanos.Observe(report.per_vehicle_ns[i]);
+    if (!statuses[i].ok()) {
+      report.failures.emplace_back(vins[i], std::move(statuses[i]));
     }
-    for (std::uint64_t ns : outcome.ns) metrics.deploy_push_nanos.Observe(ns);
-    report.per_vehicle_ns.insert(report.per_vehicle_ns.end(), outcome.ns.begin(),
-                                 outcome.ns.end());
   }
+  report.rejected = report.failures.size();
   report.deployed = vins.size() - report.rejected;
   FoldStatsToMetrics();
   return report;
+}
+
+void TrustedServer::FanOut(
+    std::span<const std::string> vins,
+    const std::function<void(Shard&, std::size_t)>& visit) {
+  // Partition the fleet so every worker touches exactly one shard.
+  std::vector<std::vector<std::size_t>> by_shard(shards_.size());
+  for (std::size_t i = 0; i < vins.size(); ++i) {
+    by_shard[ShardIndex(vins[i])].push_back(i);
+  }
+  // Each VIN pushes at most one envelope, so one slot per input position
+  // holds every push without a merge or a sort.
+  std::vector<StagedPush> pushes(vins.size());
+  pool_.ParallelFor(shards_.size(), [&](std::size_t index) {
+    Shard& shard = shards_[index];
+    for (std::size_t i : by_shard[index]) {
+      shard.outbox = &pushes[i];
+      visit(shard, i);
+    }
+    shard.outbox = nullptr;
+  });
+  // Input order is the order a single shard pushes in, so the wire order
+  // (and with it every delivery and completion after it) does not depend
+  // on the shard count.
+  for (StagedPush& push : pushes) {
+    if (push.peer == nullptr) continue;
+    // The worker made Send's checks, and nothing has run since.
+    [[maybe_unused]] const support::Status sent =
+        push.peer->Send(std::move(push.wire));
+    assert(sent.ok());
+  }
 }
 
 namespace {
@@ -541,18 +554,10 @@ std::vector<WaveOutcome> TrustedServer::CampaignWavePush(
     app = &app_it->second;
   }
 
-  // Same shard discipline as DeployCampaign: one worker per shard, each
-  // writing disjoint outcome slots (indexed by fleet position, so the
-  // result keeps the caller's order).
-  std::vector<std::vector<std::size_t>> by_shard(shards_.size());
-  for (std::size_t i = 0; i < vins.size(); ++i) {
-    by_shard[ShardIndex(vins[i])].push_back(i);
-  }
-  pool_.ParallelFor(shards_.size(), [&](std::size_t index) {
-    Shard& shard = shards_[index];
-    for (std::size_t i : by_shard[index]) {
-      outcomes[i] = WavePushOnShard(shard, user, vins[i], app_name, app, kind);
-    }
+  // Outcome slots are indexed by fleet position, so the result keeps the
+  // caller's order.
+  FanOut(vins, [&](Shard& shard, std::size_t i) {
+    outcomes[i] = WavePushOnShard(shard, user, vins[i], app_name, app, kind);
   });
   return outcomes;
 }
@@ -1563,13 +1568,23 @@ support::Status TrustedServer::PushWireToVehicle(Shard& shard,
     return support::Internal("refusing to push empty wire to " +
                              std::string(vin));
   }
-  if (sim::NetPeer* peer = shard.store.FirstConnectedPeer(vehicle);
-      peer != nullptr) {
-    DACM_RETURN_IF_ERROR(peer->Send(wire));
-    ++shard.stats.packages_pushed;
-    return support::OkStatus();
+  sim::NetPeer* peer = shard.store.FirstConnectedPeer(vehicle);
+  if (peer == nullptr) {
+    return support::Unavailable("vehicle offline: " + std::string(vin));
   }
-  return support::Unavailable("vehicle offline: " + std::string(vin));
+  if (shard.outbox == nullptr) {
+    DACM_RETURN_IF_ERROR(peer->Send(wire));
+  } else {
+    // A fan-out worker: make Send's own check (the peer is connected, by
+    // FirstConnectedPeer) and leave the send to the fan-out's caller.
+    // Nothing can flip the link or close the peer while the simulation
+    // thread waits on the pool, so the caller's send cannot fail.
+    if (!network_.link_up()) return support::Unavailable("network link down");
+    assert(shard.outbox->peer == nullptr && "one push per fan-out VIN");
+    *shard.outbox = StagedPush{peer, wire};
+  }
+  ++shard.stats.packages_pushed;
+  return support::OkStatus();
 }
 
 void TrustedServer::ApplyBatchNack(Shard& shard, std::uint32_t vehicle,

@@ -17,10 +17,12 @@
 // (server/fleet_store.hpp) — VINs interned to dense u32 handles, install
 // rows in a slab keyed by handle — partitioned by VIN hash, and
 // DeployCampaign fans a fleet-wide rollout over a worker pool: one worker
-// per shard, so compatibility checks and push staging for different
+// per shard, so compatibility checks and package assembly for different
 // vehicles run concurrently while each vehicle is only ever touched by
-// its shard's owner.  Package generation is content-addressed
-// (server/package_cache.hpp): a campaign over millions of vehicles
+// its shard's owner.  Workers record each vehicle's push; the calling
+// thread sends them in `vins` order once the pool joins, so the wire
+// order is the same at every shard count.  Package generation is
+// content-addressed (server/package_cache.hpp): a campaign over millions of vehicles
 // generates and serializes each distinct (model, app, version, id-layout)
 // batch exactly once and re-pushes the same refcounted envelope
 // fleet-wide.  The catalog (users / models / apps) is read-mostly and
@@ -38,10 +40,11 @@
 // Threading rules (see README "Threading model"): everything except the
 // shard work inside DeployCampaign / CampaignWavePush / FlushAckInboxes
 // runs on the simulation thread; workers touch only their own shard plus
-// the shared catalog under the read lock.
+// the shared catalog under the read lock, and never the network.
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <span>
@@ -137,11 +140,11 @@ struct ServerOptions {
 struct CampaignReport {
   std::size_t deployed = 0;  // batch pushed; rows are kPending until acked
   std::size_t rejected = 0;
-  /// Per-VIN rejection reasons, grouped by shard (not fleet order).
+  /// Per-VIN rejection reasons, in `vins` order.
   std::vector<std::pair<std::string, support::Status>> failures;
-  /// Worker-side processing time per vehicle (ns): compatibility checks,
-  /// context generation, package assembly and push staging.  Fleet order
-  /// is not preserved (grouped by shard); used for tail-latency tracking.
+  /// Worker-side processing time per vehicle (ns), in `vins` order:
+  /// compatibility checks, context generation, package assembly and push
+  /// recording.  Used for tail-latency tracking.
   std::vector<std::uint64_t> per_vehicle_ns;
 };
 
@@ -191,8 +194,9 @@ class TrustedServer {
 
   /// Fleet-wide OTA campaign: deploys `app_name` to every VIN in `vins`,
   /// sharding the per-vehicle pipeline over the worker pool and pushing
-  /// one batched package set per vehicle.  Per-vehicle rejections land in
-  /// the report; only a missing app fails the whole campaign.
+  /// one batched package set per vehicle, sent in `vins` order.
+  /// Per-vehicle rejections land in the report; only a missing app fails
+  /// the whole campaign.
   support::Result<CampaignReport> DeployCampaign(UserId user,
                                                  const std::string& app_name,
                                                  std::span<const std::string> vins);
@@ -249,8 +253,8 @@ class TrustedServer {
   /// requires right now — a fresh batched deploy, a re-push of the
   /// recorded batch for a stale kPending row, a clear-and-redeploy of a
   /// nacked row, or a kUninstallBatch rollback push — sharded over the
-  /// worker pool exactly like DeployCampaign.  Returns outcomes in `vins`
-  /// order.
+  /// worker pool exactly like DeployCampaign, pushes sent in `vins` order.
+  /// Returns outcomes in `vins` order.
   std::vector<WaveOutcome> CampaignWavePush(UserId user,
                                             const std::string& app_name,
                                             CampaignKind kind,
@@ -320,6 +324,16 @@ class TrustedServer {
     std::string text;
   };
 
+  /// One fan-out VIN's push, recorded by the shard worker and sent by the
+  /// fan-out's caller after the join (see FanOut).
+  struct StagedPush {
+    /// Null when the VIN pushed nothing.  Not owned: the shard's
+    /// FleetStore holds the connection, and nothing reaps connections
+    /// between the worker's record and the caller's send.
+    sim::NetPeer* peer = nullptr;
+    support::SharedBytes wire;
+  };
+
   // Per-vehicle state partition.  A shard is owned by exactly one thread
   // at any time: the simulation thread outside DeployCampaign /
   // CampaignWavePush / FlushAckInboxes, its assigned worker inside.
@@ -332,6 +346,10 @@ class TrustedServer {
     /// concurrently (the pool barrier separates the two phases).
     std::vector<StagedAck> ack_inbox;
     std::vector<DeferredLog> flush_logs;
+    /// Inside a fan-out, the current VIN's push slot: PushWireToVehicle
+    /// records there instead of sending.  Null everywhere else, so the
+    /// interactive operations send directly.
+    StagedPush* outbox = nullptr;
   };
 
   /// Where an adopted connection's acks route (no VIN in the envelope).
@@ -357,6 +375,14 @@ class TrustedServer {
   /// pool handshake) and after campaign fan-outs — the per-shard counters
   /// stay plain fields on the hot path; only the fold touches atomics.
   void FoldStatsToMetrics() const;
+
+  /// The campaign fan-out behind DeployCampaign and CampaignWavePush:
+  /// partitions `vins` by shard, runs visit(shard, i) for each input
+  /// position on the shard's worker with the shard's outbox pointed at
+  /// slot i, then — after the join, on the calling thread — sends the
+  /// recorded pushes in `vins` order.
+  void FanOut(std::span<const std::string> vins,
+              const std::function<void(Shard&, std::size_t)>& visit);
 
   support::Status CheckOwnership(UserId user, UserId owner,
                                  std::string_view vin) const;
@@ -406,7 +432,9 @@ class TrustedServer {
                                 const std::string& vin,
                                 const pirte::PirteMessage& message);
   /// Pushes an already-serialized envelope (cached campaign batches are
-  /// pushed this way: one refcount bump, no serialization).
+  /// pushed this way: one refcount bump, no serialization).  Inside a
+  /// fan-out it makes Send's checks and records the push in the shard's
+  /// outbox instead of sending.
   support::Status PushWireToVehicle(Shard& shard, std::uint32_t vehicle,
                                     std::string_view vin,
                                     const support::SharedBytes& wire);

@@ -19,9 +19,11 @@
 //    interleave arrival order, never ordering keys);
 //  * events beyond the 2^36 us horizon wait in an overflow min-heap and
 //    fold into the wheel as the cursor approaches;
-//  * events scheduled *behind* the wheel cursor — possible only from
-//    drain hooks that run after the cursor advanced past a RunUntil
-//    bound — wait in a small backlog min-heap that always pops first.
+//  * events scheduled *behind* the wheel cursor wait in a small backlog
+//    min-heap that always pops first.  The lane scheduler makes them: its
+//    NextEventTime() peek can cascade an idle lane's cursor past the
+//    lane's clock, and a cross-lane request committed at the next merge
+//    barrier may then land between the two.
 //
 // Event nodes (timestamp, sequence, intrusive link, inline callback) come
 // from a chunked free list owned by the queue; a steady-state simulation
@@ -206,8 +208,8 @@ class EventQueue {
   void Place(Node* node) {
     const SimTime at = node->at;
     if (at < cursor_) {
-      // Scheduled behind the wheel cursor (a drain hook firing after a
-      // bounded run advanced the cursor); the backlog heap pops first.
+      // Scheduled behind the wheel cursor (a peek advanced it past the
+      // lane's clock); the backlog heap pops first.
       backlog_.push_back(node);
       std::push_heap(backlog_.begin(), backlog_.end(), NodeLater{});
     } else if (at == cursor_) {
@@ -268,7 +270,7 @@ class EventQueue {
   Node* ready_head_ = nullptr;  // due events (all at == cursor_), seq order
   Node* ready_tail_ = nullptr;
 
-  std::vector<Node*> backlog_;   // at < cursor_ (drain-hook stragglers)
+  std::vector<Node*> backlog_;   // at < cursor_ (behind a peeked cursor)
   std::vector<Node*> overflow_;  // beyond the wheel horizon
   std::vector<Node*> scratch_due_;
 

@@ -8,30 +8,24 @@
 // installation protocol recovers via server-side acknowledgement tracking).
 //
 // Delivery is zero-copy: a message is one refcounted immutable buffer
-// (support::SharedBytes) handed from sender to staged-send FIFO to the
-// receive handler — a campaign batch serialized once travels every hop,
-// including re-pushes, by refcount bump.
+// (support::SharedBytes) handed from sender to receive handler — a
+// campaign batch serialized once travels every hop, including re-pushes,
+// by refcount bump.
 //
-// Threading: Send() may be called from worker threads (the server's
-// sharded deploy pipeline pushes from its pool).  Off-thread sends are
-// staged into a pooled FIFO under a lock and folded into the simulator's
-// event queue by the drain barrier the Simulator owns — ordered by peer
-// creation sequence, so the resulting event order is deterministic
-// regardless of worker scheduling.  Sends from the simulation thread keep
-// the classic immediate scheduling (delivery at Now() + latency), so
-// single-threaded timing is unchanged.  Everything else (Listen, Connect,
-// Close, SetLinkUp, handler installation, and message delivery itself)
-// stays on the simulation thread.
+// Threading: every call, Send() included, runs on the simulation thread
+// or inside a lane event.  Send() schedules delivery at Now() + latency on
+// the receiving peer's lane; from a lane event that schedule is staged and
+// committed at the simulator's merge barrier like any other cross-lane
+// request, so delivery timing never depends on which thread fired the
+// sending event.  Off-thread producers (the server's shard workers) do not
+// send: they hand their messages to the thread that called them.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/simulator.hpp"
 #include "support/shared_bytes.hpp"
@@ -48,10 +42,11 @@ class NetPeer : public std::enable_shared_from_this<NetPeer> {
   /// byte span, so handlers written against either keep working.
   using ReceiveHandler = std::function<void(const support::SharedBytes&)>;
 
-  /// Sends one message to the remote endpoint.  Returns kUnavailable if the
-  /// link is down or the remote endpoint is gone.  Safe to call from worker
-  /// threads; delivery is scheduled at the next drain barrier.  Fanning the
-  /// same SharedBytes to many peers shares one buffer.
+  /// Sends one message to the remote endpoint; it arrives at Now() +
+  /// latency on the remote's lane.  Returns kUnavailable if the link is
+  /// down or the remote endpoint is gone.  Simulation thread or lane event
+  /// only (asserted in debug builds).  Fanning the same SharedBytes to
+  /// many peers shares one buffer.
   support::Status Send(support::SharedBytes message);
 
   /// Installs the receive callback (replaces any previous one).
@@ -76,15 +71,11 @@ class NetPeer : public std::enable_shared_from_this<NetPeer> {
  private:
   friend class Network;
 
-  NetPeer(Network& net, std::uint64_t seq,
-          std::shared_ptr<const std::string> address, bool client_side)
-      : net_(net),
-        seq_(seq),
-        address_(std::move(address)),
-        client_side_(client_side) {}
+  NetPeer(Network& net, std::shared_ptr<const std::string> address,
+          bool client_side)
+      : net_(net), address_(std::move(address)), client_side_(client_side) {}
 
   Network& net_;
-  std::uint64_t seq_;  // creation order; the drain sort key
   std::shared_ptr<const std::string> address_;  // shared with the listener
   bool client_side_;
   std::uint32_t lane_ = 0;  // delivery lane (see SetLane)
@@ -96,7 +87,6 @@ class NetPeer : public std::enable_shared_from_this<NetPeer> {
 class Network {
  public:
   explicit Network(Simulator& simulator, SimTime one_way_latency = 20 * kMillisecond);
-  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -139,12 +129,6 @@ class Network {
  private:
   friend class NetPeer;
 
-  struct StagedSend {
-    std::uint64_t peer_seq;  // sending peer; deterministic drain order
-    std::shared_ptr<NetPeer> remote;
-    support::SharedBytes message;
-  };
-
   struct Listener {
     AcceptHandler on_accept;
     /// Shared with every peer of this address, so Connect builds no
@@ -152,31 +136,12 @@ class Network {
     std::shared_ptr<const std::string> address;
   };
 
-  /// Moves every staged send into the simulator's event queue (simulation
-  /// thread only; registered as the simulator's drain hook).
-  void DrainStagedSends();
-
-  /// Schedules delivery of `message` into `remote` at Now() + latency
-  /// (simulation thread only).
-  void ScheduleDelivery(std::shared_ptr<NetPeer> remote, support::SharedBytes message);
-
   Simulator& simulator_;
   SimTime latency_;
   std::atomic<bool> link_up_{true};
   std::unordered_map<std::string, Listener> listeners_;
   /// Atomic: delivery events fire concurrently on worker lanes.
   std::atomic<std::uint64_t> messages_delivered_{0};
-  std::uint64_t next_peer_seq_ = 0;
-  std::uint64_t drain_hook_ = 0;
-  std::thread::id sim_thread_ = std::this_thread::get_id();
-
-  std::mutex staged_mutex_;
-  std::vector<StagedSend> staged_;
-  /// Drained batches recycle their capacity through here, so steady-state
-  /// staging allocates no vectors (the node pool of the send path).
-  std::vector<StagedSend> staged_spare_;
-  /// Reused drain-side batch (capacity persists across drains).
-  std::vector<StagedSend> drain_batch_;
 };
 
 }  // namespace dacm::sim

@@ -3,9 +3,8 @@
 // Lane protocol (ConfigureLanes(N > 1)) — conservative time windows with
 // deterministic merge barriers:
 //
-//   1. All queues quiescent?  Drain staged sends; find t0 = min over
-//      lanes of the next pending timestamp.  The window is
-//      [t0, b = min(until, t0 + lookahead - 1)].
+//   1. Find t0 = min over lanes of the next pending timestamp.  The
+//      window is [t0, b = min(until, t0 + lookahead - 1)].
 //   2. Phase 1: lane 0 (control plane) fires its due events on the
 //      control thread.  Phase 2: worker lanes with events <= b fire
 //      concurrently on the kernel pool.  The phase split means control
@@ -53,12 +52,6 @@ namespace {
 support::Counter& EventsCounter() {
   static support::Counter& counter =
       support::Metrics::Instance().GetCounter("dacm_sim_events_total");
-  return counter;
-}
-
-support::Counter& DrainPassCounter() {
-  static support::Counter& counter =
-      support::Metrics::Instance().GetCounter("dacm_sim_drain_passes_total");
   return counter;
 }
 
@@ -162,6 +155,10 @@ bool Simulator::OnControlPlane() const {
   return !multi_ || tls_lane.sim != this || tls_lane.lane == 0;
 }
 
+bool Simulator::OnSimulationThread() const {
+  return tls_lane.sim == this || std::this_thread::get_id() == control_thread_;
+}
+
 std::size_t Simulator::MultiPending() const {
   std::size_t total = 0;
   for (const auto& lane : lanes_) total += lane->queue.size();
@@ -224,85 +221,12 @@ void Simulator::ScheduleAtLane(std::uint32_t lane_index, SimTime at,
     }
     return;
   }
-  // Control thread between windows (setup, drain hooks at a barrier):
+  // Control thread between windows (setup, or code outside Run):
   // push directly, clamped so the target lane's clock never runs back.
   if (at < now_) at = now_;
   LaneState& target = *lanes_[lane_index];
   if (at < target.now) at = target.now;
   target.queue.Push(at, std::move(fn));
-}
-
-std::uint64_t Simulator::AddDrainHook(Callback hook) {
-  assert(hook);
-  const std::uint64_t handle = next_drain_handle_++;
-  if (draining_) {
-    // Adding from inside a hook must not reallocate drain_hooks_ under
-    // the running pass (that would relocate the executing closure's
-    // inline captures); the hook joins from the next pass on.
-    pending_hooks_.push_back(DrainHook{handle, std::move(hook), false});
-    return handle;
-  }
-  drain_hook_index_.emplace(handle, drain_hooks_.size());
-  drain_hooks_.push_back(DrainHook{handle, std::move(hook), false});
-  return handle;
-}
-
-void Simulator::RemoveDrainHook(std::uint64_t handle) {
-  auto it = drain_hook_index_.find(handle);
-  if (it == drain_hook_index_.end()) {
-    // Possibly added and removed within one drain pass (teardown from a
-    // hook): still waiting in pending_hooks_.
-    std::erase_if(pending_hooks_, [handle](const DrainHook& hook) {
-      return hook.handle == handle;
-    });
-    return;
-  }
-  const std::size_t index = it->second;
-  drain_hook_index_.erase(it);
-  if (draining_) {
-    // Mid-pass removal (a component tearing down from inside a hook):
-    // swapping would disturb the iteration, and destroying the callback
-    // here would tear down a possibly-executing closure, so only mark it
-    // and compact when the pass finishes.
-    drain_hooks_[index].removed = true;
-    drain_hooks_tombstoned_ = true;
-    return;
-  }
-  if (index != drain_hooks_.size() - 1) {
-    drain_hooks_[index] = std::move(drain_hooks_.back());
-    drain_hook_index_[drain_hooks_[index].handle] = index;
-  }
-  drain_hooks_.pop_back();
-}
-
-void Simulator::DrainStaged() {
-  const bool outermost = !draining_;
-  draining_ = true;
-  drain_passes_since_fold_ += outermost ? 1 : 0;
-  // drain_hooks_ cannot grow or shrink during the pass (additions are
-  // deferred, removals tombstoned), so the closures stay put while they
-  // execute.
-  for (std::size_t i = 0; i < drain_hooks_.size(); ++i) {
-    if (!drain_hooks_[i].removed) drain_hooks_[i].fn();
-  }
-  if (!outermost) return;
-  draining_ = false;
-  if (drain_hooks_tombstoned_) {
-    drain_hooks_tombstoned_ = false;
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < drain_hooks_.size(); ++i) {
-      if (drain_hooks_[i].removed) continue;
-      if (kept != i) drain_hooks_[kept] = std::move(drain_hooks_[i]);
-      drain_hook_index_[drain_hooks_[kept].handle] = kept;
-      ++kept;
-    }
-    drain_hooks_.resize(kept);
-  }
-  for (DrainHook& pending : pending_hooks_) {
-    drain_hook_index_.emplace(pending.handle, drain_hooks_.size());
-    drain_hooks_.push_back(std::move(pending));
-  }
-  pending_hooks_.clear();
 }
 
 std::size_t Simulator::Run(std::size_t limit) {
@@ -312,16 +236,9 @@ std::size_t Simulator::Run(std::size_t limit) {
   }
   std::size_t processed = 0;
   const SimTime started_at = now_;
-  DrainStaged();
   SimTime at = 0;
   Callback fn;
-  while (processed < limit) {
-    if (!queue_.PopDue(EventQueue::kMaxTime, &at, &fn)) {
-      // Handlers fired above may have staged follow-ups (e.g. a vehicle
-      // acking a push); fold them in before declaring quiescence.
-      DrainStaged();
-      if (!queue_.PopDue(EventQueue::kMaxTime, &at, &fn)) break;
-    }
+  while (processed < limit && queue_.PopDue(EventQueue::kMaxTime, &at, &fn)) {
     now_ = at;
     fn();
     fn = Callback();  // release captures before the next event fires
@@ -334,10 +251,6 @@ std::size_t Simulator::Run(std::size_t limit) {
 
 void Simulator::FoldMetrics(std::size_t processed) {
   if (processed != 0) EventsCounter().Inc(processed);
-  if (drain_passes_since_fold_ != 0) {
-    DrainPassCounter().Inc(drain_passes_since_fold_);
-    drain_passes_since_fold_ = 0;
-  }
   // Touch the lane families so even a lanes=1 process exposes them (the
   // CI metrics smoke requires the families to exist, not to be nonzero).
   (void)LaneEventsCounter();
@@ -348,14 +261,9 @@ std::size_t Simulator::RunUntil(SimTime until) {
   if (multi_) return RunLanes(until, true);
   std::size_t processed = 0;
   const SimTime started_at = now_;
-  DrainStaged();
   SimTime at = 0;
   Callback fn;
-  for (;;) {
-    if (!queue_.PopDue(until, &at, &fn)) {
-      DrainStaged();
-      if (!queue_.PopDue(until, &at, &fn)) break;
-    }
+  while (queue_.PopDue(until, &at, &fn)) {
     now_ = at;
     fn();
     fn = Callback();
@@ -441,7 +349,6 @@ std::size_t Simulator::RunLanes(SimTime until, bool pin_until) {
   const SimTime started_at = now_;
   auto& tracer = support::Tracer::Instance();
   for (;;) {
-    DrainStaged();
     SimTime t0 = EventQueue::kMaxTime;
     for (auto& lane : lanes_) {
       lane->next = lane->queue.NextEventTime();
@@ -510,8 +417,8 @@ std::size_t Simulator::RunLanes(SimTime until, bool pin_until) {
   if (pin_until) {
     for (auto& lane : lanes_) {
       if (lane->now < until) lane->now = until;
-      // Loop exit had every lane quiescent at or before `until` (checked
-      // after a drain pass), so the cursors can follow.
+      // Loop exit had every lane quiescent at or before `until`, so the
+      // cursors can follow.
       lane->queue.SyncCursor(until);
     }
     if (now_ < until) now_ = until;
@@ -524,7 +431,6 @@ std::size_t Simulator::RunLanes(SimTime until, bool pin_until) {
 std::size_t Simulator::RunLanesSerialized(std::size_t limit) {
   std::size_t processed = 0;
   const SimTime started_at = now_;
-  DrainStaged();
   SimTime at = 0;
   Callback fn;
   const auto next_lane = [this]() -> std::size_t {
@@ -540,12 +446,8 @@ std::size_t Simulator::RunLanesSerialized(std::size_t limit) {
     return best;
   };
   while (processed < limit) {
-    std::size_t best = next_lane();
-    if (best == lanes_.size()) {
-      DrainStaged();
-      best = next_lane();
-      if (best == lanes_.size()) break;
-    }
+    const std::size_t best = next_lane();
+    if (best == lanes_.size()) break;
     LaneState& lane = *lanes_[best];
     if (!lane.queue.PopDue(EventQueue::kMaxTime, &at, &fn)) break;
     if (at > lane.now) lane.now = at;

@@ -22,17 +22,17 @@
 // (timestamp, seq) to (timestamp, lane, lane-local seq); at lanes=1 the
 // engine is bit-for-bit today's serial loop.
 //
-// The kernel also owns the *drain barrier* that lets worker threads feed
-// it: components that stage work off-thread (sim::Network's per-peer send
-// queues) register a drain hook, and the run loop invokes every hook
-// before processing events and again whenever the queue runs dry — so
-// staged messages are folded into the deterministic event order without
-// the workers ever touching the queues.
+// The merge barrier is the kernel's only entry for work from another
+// thread: a schedule made inside a lane event, on whatever thread ran
+// the lane, is staged and committed there.  Every other call (setup, Run,
+// schedules from outside an event) belongs to the simulation thread, the
+// one that constructed the kernel; other threads with work to schedule
+// hand it to that thread first.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -128,6 +128,11 @@ class Simulator {
   /// must not be driven from worker lanes (Network::Connect) assert this.
   bool OnControlPlane() const;
 
+  /// True on the simulation thread (the one that constructed this
+  /// simulator) and inside any lane event — the two places a schedule is
+  /// ordered deterministically.  Network::Send asserts this.
+  bool OnSimulationThread() const;
+
   /// Runs events until the queues are empty or `limit` events have fired.
   /// Returns the number of events processed.  A bounded limit at lanes>1
   /// takes a serialized merged-order path (exact but not parallel);
@@ -156,18 +161,6 @@ class Simulator {
   /// lane's overflow heap, not lane 0's.
   std::size_t OverflowEvents(std::uint32_t lane) const;
 
-  /// Registers a drain hook (see file comment) and returns a handle for
-  /// RemoveDrainHook.  Hooks run on the control thread only.
-  std::uint64_t AddDrainHook(Callback hook);
-  /// O(1) (swap-and-pop).  Safe to call from inside a running hook: the
-  /// entry is tombstoned for the rest of the pass and compacted after.
-  void RemoveDrainHook(std::uint64_t handle);
-
-  /// Runs every drain hook now.  Run/RunUntil call this before the first
-  /// window and whenever the queues empty; explicit calls are only needed
-  /// to observe staged work without running events.
-  void DrainStaged();
-
  private:
   /// A schedule request made during lane execution that cannot be pushed
   /// directly (cross-lane target, or timestamp beyond the current
@@ -192,9 +185,9 @@ class Simulator {
     std::uint64_t busy_ns = 0;
   };
 
-  /// Folds locally-counted events and drain passes into the process
-  /// metrics registry — called once per Run/RunUntil return so the event
-  /// loop itself never touches an atomic per event.
+  /// Folds locally-counted events into the process metrics registry —
+  /// called once per Run/RunUntil return so the event loop itself never
+  /// touches an atomic per event.
   void FoldMetrics(std::size_t processed);
 
   SimTime LaneLocalNow() const;
@@ -213,16 +206,6 @@ class Simulator {
   /// Exact merged-order engine behind bounded Run(limit) at lanes>1.
   std::size_t RunLanesSerialized(std::size_t limit);
 
-  struct DrainHook {
-    std::uint64_t handle;
-    Callback fn;
-    /// Tombstone for removal during a drain pass.  The callback is left
-    /// intact until the pass ends: destroying it in place would tear down
-    /// the inline captures of a hook that is removing *itself* while its
-    /// call frame still uses them.
-    bool removed = false;
-  };
-
   SimTime now_ = 0;
   EventQueue queue_;
 
@@ -231,21 +214,7 @@ class Simulator {
   std::vector<std::unique_ptr<LaneState>> lanes_;
   std::unique_ptr<support::ThreadPool> pool_;
   std::vector<std::uint32_t> active_lanes_;  // per-window scratch
-
-  std::uint64_t next_drain_handle_ = 0;
-  std::vector<DrainHook> drain_hooks_;
-  /// Hooks added from inside a drain pass wait here until the pass ends:
-  /// pushing into drain_hooks_ mid-iteration could reallocate the vector
-  /// and relocate the inline captures of the hook currently executing.
-  std::vector<DrainHook> pending_hooks_;
-  /// handle -> index in drain_hooks_, maintained through swap-and-pop.
-  /// Pending hooks are not indexed until installed (removal before then
-  /// scans pending_hooks_ — a cold teardown-only path).
-  std::unordered_map<std::uint64_t, std::size_t> drain_hook_index_;
-  bool draining_ = false;
-  bool drain_hooks_tombstoned_ = false;
-  /// Outermost drain passes since the last FoldMetrics (see above).
-  std::uint64_t drain_passes_since_fold_ = 0;
+  std::thread::id control_thread_ = std::this_thread::get_id();
 };
 
 }  // namespace dacm::sim

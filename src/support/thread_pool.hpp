@@ -6,11 +6,13 @@
 // barrier, so the caller may touch the workers' results without further
 // synchronization (the condition-variable handshake publishes them).
 //
-// The caller deliberately does NOT execute indices when workers exist:
-// work that runs on the calling (simulation) thread would take the
-// network's immediate-send fast path instead of the staged drain barrier,
-// and which indices the caller grabbed would depend on OS scheduling —
-// breaking the deterministic event order the barrier exists to provide.
+// The caller deliberately does NOT execute indices when workers exist,
+// so which thread runs an index depends on the pool size alone, never on
+// OS scheduling.  Thread checks inside a job then hold for every index:
+// the network's debug check that sends come from the simulation thread
+// (server shard workers must hand their pushes back to the caller) fails
+// on every misplaced send, not only on the ones the workers happened to
+// grab.
 //
 // A pool of size 0 (or a single-index job) degrades to a plain loop on the
 // calling thread; the single-shard server uses that to keep its

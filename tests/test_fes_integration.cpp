@@ -4,11 +4,15 @@
 // workflow of the paper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bsw/watchdog.hpp"
 #include "fes/appgen.hpp"
 #include "fes/device.hpp"
 #include "fes/fleet.hpp"
 #include "fes/testbed.hpp"
+#include "server/campaign.hpp"
+#include "sim/fault.hpp"
 #include "support/log.hpp"
 
 namespace dacm::fes {
@@ -325,9 +329,10 @@ TEST(FleetTest, CampaignBatchReachesRealEcmsAndInstalls) {
 
 TEST(FleetTest, ShardedCampaignIsDeterministicAcrossRuns) {
   // Two identical sharded campaigns must produce identical event traces:
-  // worker scheduling may differ, but the drain barrier canonicalizes the
-  // network order, so delivered-message counts and final states match a
-  // fresh run exactly.
+  // worker scheduling may differ, but the workers only record their
+  // pushes and the calling thread sends them in fleet order after the
+  // join, so delivered-message counts and final states match a fresh run
+  // exactly.
   auto run_once = [](std::size_t shards) {
     sim::Simulator simulator;
     sim::Network network(simulator, sim::kMillisecond);
@@ -376,6 +381,72 @@ TEST(FleetTest, ShardedCampaignIsDeterministicAcrossRuns) {
   EXPECT_EQ(std::get<2>(a), std::get<2>(c));
   EXPECT_EQ(std::get<3>(a), std::get<3>(c));
   EXPECT_EQ(std::get<4>(a), std::get<4>(c));
+}
+
+TEST(FleetTest, ShardedFaultedCampaignCompletesInTheSameOrderAtAnyShardCount) {
+  // The churned variant of the test above, through the campaign engine:
+  // 20% of a 1k fleet drops offline and reconnects (on a newer
+  // server-side connection) and the link flaps twice, so retry waves
+  // push to reconnected vehicles.  Pushes leave in fleet order at every
+  // shard count, so the completion order cannot depend on it.
+  auto run_once = [](std::size_t shards) {
+    sim::Simulator simulator;
+    sim::Network network(simulator, sim::kMicrosecond);
+    server::TrustedServer server(network, "srv:443",
+                                 server::ServerOptions{shards});
+    server::CampaignEngine engine(simulator, server);
+    EXPECT_TRUE(server.Start().ok());
+    EXPECT_TRUE(server.UploadVehicleModel(MakeRpiTestbedConf()).ok());
+    auto user = *server.CreateUser("ops");
+    ScriptedFleetOptions options;
+    options.vehicle_count = 1000;
+    ScriptedFleet fleet(simulator, network, server, options);
+    EXPECT_TRUE(fleet.BindAndConnect(user).ok());
+    SyntheticAppParams params;
+    params.name = "maps";
+    params.vehicle_model = "rpi-testbed";
+    params.plugin_count = 2;
+    params.target_ecu = 1;
+    EXPECT_TRUE(server.UploadApp(MakeSyntheticApp(params)).ok());
+    fleet.MarkCampaignEpoch();
+    sim::FaultScenario faults(simulator, network, /*seed=*/0x7E1E);
+    faults.AddOfflineChurn(fleet, 0.2, /*horizon=*/0, 100 * sim::kMillisecond,
+                           400 * sim::kMillisecond);
+    faults.AddRandomLinkFlaps(2, 600 * sim::kMillisecond,
+                              20 * sim::kMillisecond, 80 * sim::kMillisecond);
+
+    std::vector<std::string> ack_order;
+    support::Log::SetSink([&ack_order](support::LogLevel, std::string_view,
+                                       std::string_view message) {
+      if (message.find("fully acknowledged") != std::string_view::npos) {
+        ack_order.emplace_back(message);
+      }
+    });
+    support::Log::SetLevel(support::LogLevel::kInfo);
+    server::RetryPolicy policy;
+    policy.max_waves = 8;
+    policy.settle_delay = 50 * sim::kMillisecond;
+    policy.initial_backoff = 200 * sim::kMillisecond;
+    policy.max_backoff = 2 * sim::kSecond;
+    auto id = engine.StartDeploy(user, "maps", fleet.vins(), policy);
+    EXPECT_TRUE(id.ok());
+    simulator.Run();
+    support::Log::SetLevel(support::LogLevel::kOff);
+    support::Log::SetSink(nullptr);
+    EXPECT_EQ(engine.Snapshot(*id)->status, server::CampaignStatus::kConverged);
+    EXPECT_EQ(ack_order.size(), 1000u);
+    return ack_order;
+  };
+  const std::vector<std::string> serial = run_once(1);
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    const std::vector<std::string> sharded = run_once(shards);
+    ASSERT_EQ(sharded.size(), serial.size()) << "shards=" << shards;
+    const auto diverged =
+        std::mismatch(serial.begin(), serial.end(), sharded.begin()).first;
+    EXPECT_TRUE(diverged == serial.end())
+        << "shards=" << shards << " departs from shards=1 at completion "
+        << (diverged - serial.begin()) + 1 << " of " << serial.size();
+  }
 }
 
 TEST(FleetTest, FederatedTelemetryFlowsVehicleToDevice) {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sim/can_bus.hpp"
 #include "sim/network.hpp"
@@ -179,112 +180,25 @@ TEST(SimulatorTest, EventNodePoolStopsGrowingUnderChurn) {
   EXPECT_EQ(simulator.AllocatedEventNodes(), 256u);
 }
 
-// --- drain hooks ---------------------------------------------------------------
+// --- EventQueue ---------------------------------------------------------------
 
-TEST(SimulatorTest, DrainHookRemovalDuringDrainIsSafe) {
-  // A hook that removes itself (and a peer) mid-drain must not derail the
-  // pass: remaining hooks still run, and later drains skip the removed.
-  Simulator simulator;
-  int a_runs = 0, b_runs = 0, c_runs = 0;
-  std::uint64_t a = 0, b = 0;
-  a = simulator.AddDrainHook([&]() { ++a_runs; });
-  b = simulator.AddDrainHook([&]() {
-    ++b_runs;
-    simulator.RemoveDrainHook(b);  // self-removal
-    simulator.RemoveDrainHook(a);  // peer removal, already-visited slot
-  });
-  simulator.AddDrainHook([&]() { ++c_runs; });
-  simulator.DrainStaged();
-  EXPECT_EQ(a_runs, 1);
-  EXPECT_EQ(b_runs, 1);
-  EXPECT_EQ(c_runs, 1);
-  simulator.DrainStaged();
-  EXPECT_EQ(a_runs, 1);  // removed
-  EXPECT_EQ(b_runs, 1);  // removed
-  EXPECT_EQ(c_runs, 2);  // survived the compaction
-}
-
-TEST(SimulatorTest, DrainHookAddingHooksMidDrainIsSafe) {
-  // A hook that registers more hooks while a pass runs must not invalidate
-  // its own captures (additions are deferred, so the hook vector cannot
-  // reallocate under the executing closure).  The capture is heap-backed
-  // so ASan would flag a relocation-induced use-after-free.
-  Simulator simulator;
-  auto tag = std::make_shared<std::string>("still-alive");
-  int added_runs = 0;
-  std::string observed;
-  simulator.AddDrainHook([&, tag]() {
-    if (!observed.empty()) return;  // only seed on the first pass
-    for (int i = 0; i < 64; ++i) {
-      simulator.AddDrainHook([&added_runs]() { ++added_runs; });
-    }
-    observed = *tag;  // reads the capture after the additions
-  });
-  simulator.DrainStaged();
-  EXPECT_EQ(observed, "still-alive");
-  EXPECT_EQ(added_runs, 0);  // deferred: new hooks join from the next pass
-  simulator.DrainStaged();
-  EXPECT_EQ(added_runs, 64);
-}
-
-TEST(SimulatorTest, DrainHookAddedAndRemovedWithinOnePassNeverRuns) {
-  Simulator simulator;
-  int runs = 0;
-  std::uint64_t doomed = 0;
-  bool seeded = false;
-  simulator.AddDrainHook([&]() {
-    if (seeded) return;
-    seeded = true;
-    doomed = simulator.AddDrainHook([&runs]() { ++runs; });
-    simulator.RemoveDrainHook(doomed);  // still pending; must be dropped
-  });
-  simulator.DrainStaged();
-  simulator.DrainStaged();
-  EXPECT_EQ(runs, 0);
-}
-
-TEST(SimulatorTest, DrainHookSwapAndPopKeepsHandlesValid) {
-  // Removal swaps the last hook into the vacated slot; the moved hook's
-  // handle must keep resolving (the O(1) index map follows the swap).
-  Simulator simulator;
-  int runs[3] = {0, 0, 0};
-  const std::uint64_t h0 = simulator.AddDrainHook([&]() { ++runs[0]; });
-  simulator.AddDrainHook([&]() { ++runs[1]; });
-  const std::uint64_t h2 = simulator.AddDrainHook([&]() { ++runs[2]; });
-  simulator.RemoveDrainHook(h0);  // moves h2 into slot 0
-  simulator.DrainStaged();
-  EXPECT_EQ(runs[0], 0);
-  EXPECT_EQ(runs[1], 1);
-  EXPECT_EQ(runs[2], 1);
-  simulator.RemoveDrainHook(h2);  // must remove the *moved* hook
-  simulator.DrainStaged();
-  EXPECT_EQ(runs[1], 2);
-  EXPECT_EQ(runs[2], 1);
-  simulator.RemoveDrainHook(h2);  // double-removal is a no-op
-}
-
-TEST(SimulatorTest, DrainHookSchedulingBehindAdvancedCursorStaysOrdered) {
-  // A bounded run can advance the wheel cursor past Now() (outer-level
-  // cascade) before the post-run drain stages new work near Now(); such
-  // events land in the backlog and must still fire in global time order.
-  Simulator simulator;
-  std::vector<SimTime> fired;
-  simulator.ScheduleAt(70, [&]() { fired.push_back(simulator.Now()); });
-  simulator.ScheduleAt(74, [&]() { fired.push_back(simulator.Now()); });
-  int drains = 0;
-  const std::uint64_t hook = simulator.AddDrainHook([&]() {
-    // Stage on the second pass only: the first runs before any cursor
-    // advance (at the head of RunUntil), the second after the cascade.
-    if (++drains != 2) return;
-    simulator.ScheduleAt(simulator.Now() + 1,
-                         [&]() { fired.push_back(simulator.Now()); });
-  });
-  // RunUntil(66) cascades the [64,127] window (cursor -> 64) but fires
-  // nothing; the drain hook then schedules at time 1 — behind the cursor.
-  simulator.RunUntil(66);
-  simulator.Run();
-  simulator.RemoveDrainHook(hook);
-  EXPECT_EQ(fired, (std::vector<SimTime>{1, 70, 74}));
+TEST(EventQueueTest, PushBehindPeekedCursorStaysOrdered) {
+  // The lane scheduler peeks every lane's next event time to open a
+  // window.  The peek can cascade an idle lane's wheel past the lane's
+  // clock, and a cross-lane request committed at the next merge barrier
+  // may then land behind the cursor: it waits in the backlog and must
+  // still pop in global time order.
+  EventQueue queue;
+  queue.Push(70, [] {});
+  queue.Push(74, [] {});
+  // Cascades the [64, 127] slot and surfaces 70: the cursor passes 1.
+  EXPECT_EQ(queue.NextEventTime(), 70u);
+  queue.Push(1, [] {});
+  std::vector<SimTime> popped;
+  SimTime at = 0;
+  EventQueue::Callback fn;
+  while (queue.PopDue(EventQueue::kMaxTime, &at, &fn)) popped.push_back(at);
+  EXPECT_EQ(popped, (std::vector<SimTime>{1, 70, 74}));
 }
 
 // --- CAN bus -----------------------------------------------------------------------
@@ -502,6 +416,67 @@ TEST(NetworkTest, CloseMakesRemoteUnavailable) {
   EXPECT_FALSE(server_side->connected());
   EXPECT_EQ((*client)->Send(support::ToBytes("x")).code(),
             support::ErrorCode::kUnavailable);
+}
+
+/// Reply arrival times, relative to the server's pings, from two client
+/// peers on lanes 1 and 2 of a 3-lane simulator over 20 ms links: lane 1
+/// replies at once, lane 2 from a 10 ms in-lane timer.  `threads` worker
+/// threads run lanes 1 and 2 (0: inline on the control thread).
+std::vector<SimTime> ThreeLaneReplyTimes(std::size_t threads) {
+  Simulator simulator;
+  LaneOptions options;
+  options.lanes = 3;
+  options.threads = threads;
+  simulator.ConfigureLanes(options);
+  Network network(simulator, 20 * kMillisecond);
+  std::vector<std::shared_ptr<NetPeer>> accepted;
+  EXPECT_TRUE(network
+                  .Listen("srv", [&](std::shared_ptr<NetPeer> peer) {
+                    accepted.push_back(std::move(peer));
+                  })
+                  .ok());
+  std::vector<std::shared_ptr<NetPeer>> clients;
+  for (const std::uint32_t lane : {1u, 2u}) {
+    auto client = network.Connect("srv");
+    EXPECT_TRUE(client.ok());
+    (*client)->SetLane(lane);
+    clients.push_back(*client);
+  }
+  simulator.Run();
+  EXPECT_EQ(accepted.size(), 2u);
+  if (accepted.size() != 2) return {};
+
+  NetPeer* prompt = clients[0].get();
+  prompt->SetReceiveHandler([prompt](const support::SharedBytes&) {
+    EXPECT_TRUE(prompt->Send(support::ToBytes("pong")).ok());
+  });
+  NetPeer* delayed = clients[1].get();
+  delayed->SetReceiveHandler(
+      [&simulator, delayed](const support::SharedBytes&) {
+        simulator.ScheduleAfter(10 * kMillisecond, [delayed]() {
+          EXPECT_TRUE(delayed->Send(support::ToBytes("pong")).ok());
+        });
+      });
+  const SimTime sent_at = simulator.Now();
+  std::vector<SimTime> arrivals(2, 0);
+  for (std::size_t i = 0; i < accepted.size(); ++i) {
+    accepted[i]->SetReceiveHandler([&, i](const support::SharedBytes&) {
+      arrivals[i] = simulator.Now() - sent_at;
+    });
+    EXPECT_TRUE(accepted[i]->Send(support::ToBytes("ping")).ok());
+  }
+  simulator.Run();
+  return arrivals;
+}
+
+TEST(NetworkTest, LaneRepliesArriveAtTheSameTimeAtAnyThreadCount) {
+  // A send from a lane event is scheduled at the lane's own clock plus
+  // the latency and committed at the merge barrier, whichever thread ran
+  // the lane — so the worker-thread count cannot change sim timing.
+  const std::vector<SimTime> inline_lanes = ThreeLaneReplyTimes(0);
+  EXPECT_EQ(inline_lanes,
+            (std::vector<SimTime>{40 * kMillisecond, 50 * kMillisecond}));
+  EXPECT_EQ(ThreeLaneReplyTimes(2), inline_lanes);
 }
 
 // --- Rng -----------------------------------------------------------------------------

@@ -21,8 +21,8 @@
 //    scheduled from a *worker lane* mid-window waits in the owning
 //    lane's overflow heap, never lane 0's;
 //
-//  * a determinism re-run deploys a sharded campaign (worker-pool
-//    pushes, staged sends, parallel ack inboxes) twice — honoring
+//  * a determinism re-run deploys a sharded campaign (worker-recorded
+//    pushes sent in fleet order, parallel ack inboxes) twice — honoring
 //    DACM_SIM_LANES so the TSan job replays it on the parallel engine —
 //    and requires fingerprint-identical outcomes, plus fingerprint
 //    equality across every lane count.
@@ -505,10 +505,10 @@ TEST(EventQueueProperty, ShardedCampaignFingerprintIsStableOnNewCore) {
 }
 
 TEST(EventQueueProperty, ShardedCampaignFingerprintMatchesAcrossLaneCounts) {
-  // Delivery timing shifts with the lane count (staged sends commit at
-  // merge barriers), but every count and terminal state the fingerprint
-  // folds is structural — the parallel engine must converge the same
-  // campaign to the same world.
+  // Window grouping changes with the lane count (cross-lane sends commit
+  // at merge barriers), but every count and terminal state the
+  // fingerprint folds is structural — the parallel engine must converge
+  // the same campaign to the same world.
   const std::uint32_t serial = ShardedCampaignFingerprint(1);
   for (const std::size_t lanes : {std::size_t{2}, std::size_t{4},
                                   std::size_t{8}}) {

@@ -13,7 +13,8 @@
 // engine: the conservative windows preserve sim-time semantics exactly,
 // so the fleet fingerprint must match across lane counts, and at a fixed
 // lane count the trace (now carrying sim.window / sim.barrier events)
-// must still be byte-identical between seeded runs.
+// must still be byte-identical between seeded runs, and between inline
+// and threaded lane workers.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -184,27 +185,33 @@ TEST(TracerTest, DisabledTracerEmitsNothing) {
 // --- integration ------------------------------------------------------------------
 
 /// A campaign world mirroring the bench fixture: sharded server, scripted
-/// fleet, retrying engine.  1 µs links keep the 1k-vehicle runs cheap.
+/// fleet, retrying engine.  1 µs links (the default) keep the 1k-vehicle
+/// runs cheap.
 struct TelemetryRig {
   sim::Simulator simulator;
-  sim::Network network{simulator, sim::kMicrosecond};
+  sim::Network network;
   server::TrustedServer server;
   server::CampaignEngine engine{simulator, server};
   server::UserId user = server::UserId::Invalid();
   std::unique_ptr<fes::ScriptedFleet> fleet;
 
+  /// `threads` worker threads run the non-control lanes; SIZE_MAX means
+  /// one per lane.
   explicit TelemetryRig(std::size_t vehicles, std::size_t shards = 4,
                         support::RecordSink* status_sink = nullptr,
-                        std::size_t lanes = 1)
-      : server(network, "srv:443",
+                        std::size_t lanes = 1,
+                        sim::SimTime latency = sim::kMicrosecond,
+                        std::size_t threads = SIZE_MAX)
+      : network(simulator, latency),
+        server(network, "srv:443",
                server::ServerOptions{shards, status_sink}) {
     if (lanes > 1) {
       sim::LaneOptions lane_options;
       lane_options.lanes = lanes;
-      // Real workers regardless of the core count — the TSan job replays
-      // this rig at lanes=4.  The window lookahead comes from the
-      // network's 1 µs latency clamp.
-      lane_options.threads = lanes - 1;
+      // Real workers regardless of the core count by default — the TSan
+      // job replays this rig at lanes=4.  The window lookahead comes from
+      // the network's latency clamp.
+      lane_options.threads = threads == SIZE_MAX ? lanes - 1 : threads;
       simulator.ConfigureLanes(lane_options);
     }
     EXPECT_TRUE(server.Start().ok());
@@ -239,16 +246,21 @@ server::RetryPolicy RetryFast() {
 struct FaultedCampaignResult {
   std::string trace;           // Chrome trace export
   std::uint64_t fingerprint;   // terminal server-side fleet state
+  std::size_t events = 0;      // fired by the campaign's Run()
 };
 
 /// One seeded 1k-vehicle faulted campaign (20% offline churn + two link
-/// flaps) run under an enabled tracer at `lanes` simulator lanes.
-FaultedCampaignResult SeededFaultedCampaignTrace(std::size_t lanes) {
+/// flaps) run under an enabled tracer at `lanes` simulator lanes, over
+/// `latency` links, with `threads` lane workers (SIZE_MAX: one per lane).
+FaultedCampaignResult SeededFaultedCampaignTrace(
+    std::size_t lanes, sim::SimTime latency = sim::kMicrosecond,
+    std::size_t threads = SIZE_MAX) {
   auto& tracer = Tracer::Instance();
   tracer.Enable(/*events_per_lane=*/1u << 15);
   FaultedCampaignResult result;
   {
-    TelemetryRig rig(/*vehicles=*/1000, /*shards=*/4, nullptr, lanes);
+    TelemetryRig rig(/*vehicles=*/1000, /*shards=*/4, nullptr, lanes, latency,
+                     threads);
     rig.UploadApp("maps");
     rig.fleet->MarkCampaignEpoch();
     sim::FaultScenario faults(rig.simulator, rig.network, /*seed=*/0x7E1E);
@@ -259,7 +271,7 @@ FaultedCampaignResult SeededFaultedCampaignTrace(std::size_t lanes) {
     auto id = rig.engine.StartDeploy(rig.user, "maps", rig.fleet->vins(),
                                      RetryFast());
     EXPECT_TRUE(id.ok());
-    rig.simulator.Run();
+    result.events = rig.simulator.Run();
     EXPECT_TRUE(rig.engine.Finished(*id));
     EXPECT_EQ(rig.engine.Snapshot(*id)->status,
               server::CampaignStatus::kConverged);
@@ -310,6 +322,28 @@ TEST(TelemetryIntegrationTest, SeededFaultedCampaignDeterministicAtFourLanes) {
   // function of sim state, and window spans carry sim time only.
   EXPECT_EQ(first.trace, second.trace);
   EXPECT_EQ(first.fingerprint, second.fingerprint);
+}
+
+TEST(TelemetryIntegrationTest,
+     SeededFaultedCampaignTraceDoesNotDependOnWorkerThreads) {
+  // A vehicle lane's replies are scheduled at the lane's own clock and
+  // committed at the merge barrier, whichever thread ran the lane, so the
+  // lane worker count (by default capped by the host's cores) cannot
+  // move an event.  20 ms links open windows that span many timestamps;
+  // with 1 µs links every window is one timestamp wide, and a reply's
+  // clock cannot differ between the two paths.
+  const sim::SimTime latency = 20 * sim::kMillisecond;
+  const FaultedCampaignResult inline_lanes =
+      SeededFaultedCampaignTrace(4, latency, /*threads=*/0);
+  const FaultedCampaignResult threaded =
+      SeededFaultedCampaignTrace(4, latency, /*threads=*/3);
+  ASSERT_FALSE(inline_lanes.trace.empty());
+  EXPECT_EQ(inline_lanes.events, threaded.events);
+  // Compared as a predicate: a mismatch would otherwise print two
+  // megabyte-sized traces.
+  EXPECT_TRUE(inline_lanes.trace == threaded.trace)
+      << "Chrome traces differ between threads=0 and threads=3";
+  EXPECT_EQ(inline_lanes.fingerprint, threaded.fingerprint);
 }
 
 TEST(TelemetryIntegrationTest,

@@ -92,8 +92,6 @@ KEY_METRICS = [
      "items_per_second", "event schedule+fire/s (wheel)"),
     ("bench_sim", "BM_WheelStorm/4096",
      "items_per_second", "same-timestamp storm events/s"),
-    ("bench_sim", "BM_StagedSendDrain/4096/real_time",
-     "items_per_second", "staged-send drain msgs/s"),
     ("bench_wire_codec", "BM_Crc32/16384",
      "bytes_per_second", "CRC-32 GB/s (16 KiB)"),
     ("bench_fig1_vm", "BM_VmSpinLoop/10000",
