@@ -44,8 +44,10 @@ struct ServerMetrics {
   support::Histogram& ack_flush_nanos;
   /// Encoded status-record sizes written ahead of row transitions.
   support::Histogram& wal_append_bytes;
-  /// Worker-side wall time per vehicle in DeployCampaign (checks,
-  /// context generation, package assembly, push staging).
+  /// Wall time per vehicle of every campaign fan-out (DeployCampaign and
+  /// each CampaignWavePush wave): ownership and compatibility checks,
+  /// context generation, package assembly and the push step, which checks
+  /// reachability before it touches the row and records the send.
   support::Histogram& deploy_push_nanos;
 
   static ServerMetrics& Get() {
@@ -86,8 +88,9 @@ std::uint64_t Fnv1a(std::string_view s) {
   return hash;
 }
 
-/// Status-DB encoding of an in-memory InstallState (the paragraph written
-/// when a push fails and the row snaps back to its previous state).
+/// Status-DB encoding of an in-memory InstallState: the paragraph a push
+/// writes ahead of the state it moves a row to, and the one a checkpoint
+/// or rematerialization records for a row's current state.
 Want WantFor(InstallState state) {
   return state == InstallState::kUninstalling ? Want::kDeinstall : Want::kInstall;
 }
@@ -103,6 +106,13 @@ DbState DbStateFor(InstallState state) {
 }
 
 constexpr std::uint32_t kNil = FleetStore::kNil;
+
+/// Sends on a peer that ReachablePeer resolved in this event: Send's own
+/// checks passed and nothing has run since, so it cannot fail.
+void SendReachable(sim::NetPeer& peer, support::SharedBytes wire) {
+  [[maybe_unused]] const support::Status sent = peer.Send(std::move(wire));
+  assert(sent.ok());
+}
 
 /// All-acked mask for an n-plug-in row (UploadApp caps n at 64).
 std::uint64_t FullMask(std::size_t n) {
@@ -306,63 +316,61 @@ support::Status TrustedServer::UploadApp(App app) {
 
 support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
                                              const std::string& vin,
-                                             const App& app, bool batched) {
+                                             const App& app) {
   FleetStore& store = shard.store;
-  const std::uint32_t vehicle = store.Find(vin);
-  if (vehicle == kNil || !store.bound(vehicle)) {
-    return support::NotFound("VIN: " + vin);
-  }
-  DACM_RETURN_IF_ERROR(CheckOwnership(user, store.owner(vehicle), vin));
+  DACM_ASSIGN_OR_RETURN(const std::uint32_t vehicle,
+                        OwnedVehicle(shard, user, vin));
+  // Every rejection after the ownership check counts, whichever step makes it.
+  auto counted = [&shard](auto outcome) {
+    if (!outcome.ok()) ++shard.stats.deploys_rejected;
+    return outcome;
+  };
   if (store.FindRow(vehicle, app.name) != kNil) {
-    ++shard.stats.deploys_rejected;
-    return support::AlreadyExists("app already installed: " + app.name);
+    return counted(support::AlreadyExists("app already installed: " + app.name));
   }
 
   const std::string& model_name = ModelName(store.model(vehicle));
   // Compatibility: a SW conf for this vehicle model must exist...
   const SwConf* conf = app.ConfForModel(model_name);
   if (conf == nullptr) {
-    ++shard.stats.deploys_rejected;
-    return support::Incompatible("no SW conf for vehicle model " + model_name);
+    return counted(support::Incompatible("no SW conf for vehicle model " + model_name));
   }
-  DACM_ASSIGN_OR_RETURN(const VehicleModelConf* model, ModelConf(model_name));
+  DACM_ASSIGN_OR_RETURN(const VehicleModelConf* model, counted(ModelConf(model_name)));
   // ...the platform must be recent enough...
   if (!conf->min_platform.empty() &&
       support::CompareVersions(model->sw.platform_version, conf->min_platform) < 0) {
-    ++shard.stats.deploys_rejected;
-    return support::Incompatible("platform " + model->sw.platform_version +
-                                 " older than required " + conf->min_platform);
+    return counted(support::Incompatible("platform " + model->sw.platform_version +
+                                         " older than required " +
+                                         conf->min_platform));
   }
   // ...every required virtual port must be exposed...
   for (const std::string& required : conf->required_virtual_ports) {
     if (model->sw.FindByName(required) == nullptr) {
-      ++shard.stats.deploys_rejected;
-      return support::Incompatible("vehicle lacks required virtual port " + required);
+      return counted(
+          support::Incompatible("vehicle lacks required virtual port " + required));
     }
   }
   // ...placements must target plug-in-capable ECUs...
   for (const PlacementDecl& placement : conf->placements) {
     const EcuInfo* ecu = model->hw.FindEcu(placement.ecu_id);
     if (ecu == nullptr || !ecu->has_plugin_swc) {
-      ++shard.stats.deploys_rejected;
-      return support::Incompatible("ECU " + std::to_string(placement.ecu_id) +
-                                   " cannot host plug-ins");
+      return counted(support::Incompatible(
+          "ECU " + std::to_string(placement.ecu_id) + " cannot host plug-ins"));
     }
   }
   // ...then dependencies: pre-requisite apps must be installed...
   for (const std::string& dependency : app.depends_on) {
     const std::uint32_t dep = store.FindRow(vehicle, dependency);
     if (dep == kNil || store.row(dep).state != InstallState::kInstalled) {
-      ++shard.stats.deploys_rejected;
-      return support::DependencyViolation("requires app " + dependency +
-                                          " to be installed first");
+      return counted(support::DependencyViolation(
+          "requires app " + dependency + " to be installed first"));
     }
   }
   // ...and no conflicts in either direction.
   for (const std::string& conflict : app.conflicts_with) {
     if (store.FindRow(vehicle, conflict) != kNil) {
-      ++shard.stats.deploys_rejected;
-      return support::DependencyViolation("conflicts with installed app " + conflict);
+      return counted(
+          support::DependencyViolation("conflicts with installed app " + conflict));
     }
   }
   for (std::uint32_t r = store.row_head(vehicle); r != kNil;
@@ -372,75 +380,27 @@ support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
     if (other == apps_.end()) continue;
     const auto& conflicts = other->second.conflicts_with;
     if (std::find(conflicts.begin(), conflicts.end(), app.name) != conflicts.end()) {
-      ++shard.stats.deploys_rejected;
-      return support::DependencyViolation("installed app " + installed_name +
-                                          " conflicts with " + app.name);
+      return counted(support::DependencyViolation(
+          "installed app " + installed_name + " conflicts with " + app.name));
     }
   }
 
-  // The Pusher needs a live connection; reject before any state changes so
-  // a retry starts from a clean table.
-  if (!store.HasLiveConnection(vehicle)) {
-    ++shard.stats.deploys_rejected;
-    return support::Unavailable("vehicle offline: " + vin);
-  }
-
+  // Reachability before package work: an offline vehicle costs no generation.
+  DACM_ASSIGN_OR_RETURN(sim::NetPeer* peer, counted(ReachablePeer(shard, vehicle)));
   // Content-addressed batch acquisition: generation + serialization run
   // once per distinct (model, app, version, id-layout); every other
   // vehicle of the cohort reuses the cached manifest/payload by refcount.
   DACM_ASSIGN_OR_RETURN(
       CachedBatch batch,
-      cache_.Acquire(model_name, app, *conf, model->sw,
-                     store.DeriveUsedIds(vehicle)));
-
-  // Record + push.
-  const std::uint32_t r = store.AddRow(vehicle);
-  FleetStore::InstallRow& row = store.row(r);
-  row.state = InstallState::kPending;
-  row.manifest = batch.manifest;
-  row.payload = batch.payload;
-  // Write-ahead: the half-installed paragraph hits the status DB before
-  // the push leaves, so a crash between push and ack recovers into a
-  // retriable kPending row instead of a silently lost deploy.
-  WriteStatus(vin, row, Want::kInstall, DbState::kHalfInstalled);
-
-  auto rollback = [&](const support::Status& error) {
-    // Roll back the uncommitted row: a failed deploy must leave no trace
-    // (a stale row would block retries and pin batch refcounts).  The
-    // tombstone undoes the write-ahead paragraph above.
-    WriteStatusRemoved(vin, app.name, app.version, Want::kInstall);
-    store.RemoveRow(vehicle, r);
-    ++shard.stats.deploys_rejected;
-    return error;
-  };
-
-  if (batched) {
-    // Campaign path: push the cached batch envelope — a refcount bump,
-    // no per-vehicle serialization at all.
-    auto push = PushWireToVehicle(shard, vehicle, vin,
-                                  batch.payload->install_wire);
-    if (!push.ok()) return rollback(push);
-  } else {
-    for (std::size_t i = 0; i < batch.manifest->plugins.size(); ++i) {
-      const BatchManifest::Plugin& plugin = batch.manifest->plugins[i];
-      pirte::PirteMessage message;
-      message.type = pirte::MessageType::kInstallPackage;
-      message.plugin_name = plugin.name;
-      message.target_ecu = plugin.ecu_id;
-      message.payload = batch.payload->packages[i];
-      auto push = PushToVehicle(shard, vehicle, vin, message);
-      if (!push.ok()) return rollback(push);
-    }
-  }
-  // Sim time of the wire push: the convergence path turns this into the
-  // push→ack round-trip histogram and trace span.  Safe off-thread: the
-  // simulation clock is frozen while workers run (the sim thread is
-  // blocked at the pool barrier).
-  row.pushed_at = network_.simulator().Now();
+      counted(cache_.Acquire(model_name, app, *conf, model->sw,
+                             store.DeriveUsedIds(vehicle))));
+  const std::size_t plugins = batch.manifest->plugins.size();
+  DACM_RETURN_IF_ERROR(counted(PushRow(shard, vehicle, kNil, peer, InstallState::kPending,
+                                       FullMask(plugins), &batch)));
   ++shard.stats.deploys_ok;
   DACM_LOG_INFO("server") << "deploy " << app.name << " -> " << vin << " ("
-                          << batch.manifest->plugins.size() << " plug-ins"
-                          << (batched ? ", batched)" : ")");
+                          << plugins << " plug-ins"
+                          << (shard.outbox != nullptr ? ", batched)" : ")");
   return support::OkStatus();
 }
 
@@ -458,7 +418,7 @@ support::Status TrustedServer::Deploy(UserId user, const std::string& vin,
     }
     return support::NotFound("app: " + app_name);
   }
-  return DeployOnShard(shard, user, vin, app_it->second, /*batched=*/false);
+  return DeployOnShard(shard, user, vin, app_it->second);
 }
 
 support::Result<CampaignReport> TrustedServer::DeployCampaign(
@@ -470,19 +430,10 @@ support::Result<CampaignReport> TrustedServer::DeployCampaign(
 
   std::vector<support::Status> statuses(vins.size());
   CampaignReport report;
-  report.per_vehicle_ns.resize(vins.size());
-  FanOut(vins, [&](Shard& shard, std::size_t i) {
-    const auto start = std::chrono::steady_clock::now();
-    statuses[i] = DeployOnShard(shard, user, vins[i], app, /*batched=*/true);
-    report.per_vehicle_ns[i] = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
+  report.per_vehicle_ns = FanOut(vins, [&](Shard& shard, std::size_t i) {
+    statuses[i] = DeployOnShard(shard, user, vins[i], app);
   });
-
-  ServerMetrics& metrics = ServerMetrics::Get();
   for (std::size_t i = 0; i < vins.size(); ++i) {
-    metrics.deploy_push_nanos.Observe(report.per_vehicle_ns[i]);
     if (!statuses[i].ok()) {
       report.failures.emplace_back(vins[i], std::move(statuses[i]));
     }
@@ -493,7 +444,7 @@ support::Result<CampaignReport> TrustedServer::DeployCampaign(
   return report;
 }
 
-void TrustedServer::FanOut(
+std::vector<std::uint64_t> TrustedServer::FanOut(
     std::span<const std::string> vins,
     const std::function<void(Shard&, std::size_t)>& visit) {
   // Partition the fleet so every worker touches exactly one shard.
@@ -504,24 +455,31 @@ void TrustedServer::FanOut(
   // Each VIN pushes at most one envelope, so one slot per input position
   // holds every push without a merge or a sort.
   std::vector<StagedPush> pushes(vins.size());
+  std::vector<std::uint64_t> visit_ns(vins.size());
   pool_.ParallelFor(shards_.size(), [&](std::size_t index) {
     Shard& shard = shards_[index];
     for (std::size_t i : by_shard[index]) {
       shard.outbox = &pushes[i];
+      const auto start = std::chrono::steady_clock::now();
       visit(shard, i);
+      visit_ns[i] = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count());
     }
     shard.outbox = nullptr;
   });
   // Input order is the order a single shard pushes in, so the wire order
   // (and with it every delivery and completion after it) does not depend
   // on the shard count.
-  for (StagedPush& push : pushes) {
-    if (push.peer == nullptr) continue;
-    // The worker made Send's checks, and nothing has run since.
-    [[maybe_unused]] const support::Status sent =
-        push.peer->Send(std::move(push.wire));
-    assert(sent.ok());
+  ServerMetrics& metrics = ServerMetrics::Get();
+  for (std::size_t i = 0; i < vins.size(); ++i) {
+    metrics.deploy_push_nanos.Observe(visit_ns[i]);
+    if (pushes[i].peer != nullptr) {
+      SendReachable(*pushes[i].peer, std::move(pushes[i].wire));
+    }
   }
+  return visit_ns;
 }
 
 namespace {
@@ -567,20 +525,14 @@ WaveOutcome TrustedServer::WavePushOnShard(Shard& shard, UserId user,
                                            const std::string& app_name,
                                            const App* app, CampaignKind kind) {
   FleetStore& store = shard.store;
-  const std::uint32_t vehicle = store.Find(vin);
-  if (vehicle == kNil || !store.bound(vehicle)) {
-    return WaveOutcome{WaveOutcome::Action::kRejected,
-                       support::NotFound("VIN: " + vin)};
+  auto vehicle = OwnedVehicle(shard, user, vin);
+  if (!vehicle.ok()) {
+    return WaveOutcome{WaveOutcome::Action::kRejected, vehicle.status()};
   }
-  if (auto owned = CheckOwnership(user, store.owner(vehicle), vin);
-      !owned.ok()) {
-    return WaveOutcome{WaveOutcome::Action::kRejected, std::move(owned)};
-  }
-
+  const std::uint32_t r = store.FindRow(*vehicle, app_name);
   if (kind == CampaignKind::kRollback) {
-    const std::uint32_t r = store.FindRow(vehicle, app_name);
     if (r == kNil) return WaveOutcome{WaveOutcome::Action::kAlreadyDone, {}};
-    if (std::string dependents = DependentsOf(shard, vehicle, app_name);
+    if (std::string dependents = DependentsOf(shard, *vehicle, app_name);
         !dependents.empty()) {
       return WaveOutcome{
           WaveOutcome::Action::kRejected,
@@ -588,34 +540,10 @@ WaveOutcome TrustedServer::WavePushOnShard(Shard& shard, UserId user,
                                        " must be uninstalled first: " +
                                        dependents)};
     }
-    // One kUninstallBatch per vehicle — the kInstallBatch framing in
-    // reverse, pre-built on the manifest so every wave (and every vehicle
-    // of the cohort) pushes the same buffer by refcount.  Ack masks reset
-    // so a repeated wave (lost acks) converges.
-    FleetStore::InstallRow& row = store.row(r);
-    const InstallState previous = row.state;
-    row.acked = 0;
-    row.ack_ok = 0;
-    // Write-ahead: half-removed before the uninstall batch leaves.
-    WriteStatus(vin, row, Want::kDeinstall, DbState::kHalfRemoved);
-    row.state = InstallState::kUninstalling;
-    auto push =
-        PushWireToVehicle(shard, vehicle, vin, row.manifest->uninstall_wire);
-    if (!push.ok()) {
-      row.state = previous;
-      // Undo the write-ahead: re-record the state the row snapped back to.
-      WriteStatus(vin, row, WantFor(previous), DbStateFor(previous));
-      return ClassifyPush(std::move(push));
-    }
-    row.pushed_at = network_.simulator().Now();
-    ++shard.stats.rollback_pushes;
-    return WaveOutcome{WaveOutcome::Action::kPushed, {}};
-  }
-
-  // Deploy wave.
-  if (const std::uint32_t r = store.FindRow(vehicle, app_name); r != kNil) {
-    FleetStore::InstallRow& row = store.row(r);
-    switch (row.state) {
+  } else if (r == kNil) {
+    return ClassifyPush(DeployOnShard(shard, user, vin, *app));
+  } else {
+    switch (store.row(r).state) {
       case InstallState::kInstalled:
         return WaveOutcome{WaveOutcome::Action::kAlreadyDone, {}};
       case InstallState::kUninstalling:
@@ -623,42 +551,42 @@ WaveOutcome TrustedServer::WavePushOnShard(Shard& shard, UserId user,
             WaveOutcome::Action::kRejected,
             support::FailedPrecondition("uninstall of " + app_name +
                                         " in progress on " + vin)};
+      case InstallState::kFailed:
+        // A nacked row blocks redeployment; clear it and deploy afresh.
+        WriteStatusRemoved(vin, store.row(r).manifest->app_name,
+                           store.row(r).manifest->version, Want::kInstall);
+        store.RemoveRow(*vehicle, r);
+        return ClassifyPush(DeployOnShard(shard, user, vin, *app));
       case InstallState::kPending:
         // Pushed in an earlier wave but the acks never came back (link
-        // flap): re-push the recorded batch verbatim.
-        return ClassifyPush(RepushInstallBatch(shard, vehicle, r));
-      case InstallState::kFailed: {
-        // A nacked row blocks redeployment; clear it and fall through to
-        // a fresh deploy.
-        WriteStatusRemoved(vin, row.manifest->app_name, row.manifest->version,
-                           Want::kInstall);
-        store.RemoveRow(vehicle, r);
+        // flap): re-push the recorded batch below.
         break;
-      }
     }
   }
-  return ClassifyPush(DeployOnShard(shard, user, vin, *app, /*batched=*/true));
-}
 
-support::Status TrustedServer::RepushInstallBatch(Shard& shard,
-                                                  std::uint32_t vehicle,
-                                                  std::uint32_t r) {
-  // A recovered row carries no payload (RecoverInstallDb persists ids,
-  // not package bytes), and a convergence race can leave a row whose
-  // payload was already dropped.  Rematerialize from the catalog before
-  // pushing — never push an empty wire.
-  if (shard.store.row(r).payload == nullptr) {
-    DACM_RETURN_IF_ERROR(MaterializeRowPackages(shard, vehicle, r));
+  // A rollback push (the manifest's pre-built kUninstallBatch: every wave
+  // and every vehicle of the cohort pushes the same buffer by refcount)
+  // or the re-push of a pending row's install batch.
+  const InstallState state = kind == CampaignKind::kRollback
+                                 ? InstallState::kUninstalling
+                                 : InstallState::kPending;
+  auto peer = ReachablePeer(shard, *vehicle);
+  if (!peer.ok()) return ClassifyPush(peer.status());
+  if (state == InstallState::kPending && store.row(r).payload == nullptr) {
+    // A recovered row carries no payload (RecoverInstallDb persists ids,
+    // not package bytes), and a convergence race can leave a row whose
+    // payload was already dropped: rebuild it from the catalog first.
+    if (auto built = MaterializeRowPackages(shard, *vehicle, r); !built.ok()) {
+      return ClassifyPush(std::move(built));
+    }
   }
-  FleetStore::InstallRow& row = shard.store.row(r);
-  row.acked = 0;
-  row.ack_ok = 0;
-  DACM_RETURN_IF_ERROR(PushWireToVehicle(shard, vehicle,
-                                         shard.store.VinOf(vehicle),
-                                         row.payload->install_wire));
-  row.pushed_at = network_.simulator().Now();
-  ++shard.stats.repushes;
-  return support::OkStatus();
+  auto pushed = PushRow(shard, *vehicle, r, *peer, state,
+                        FullMask(store.row(r).manifest->plugins.size()));
+  if (pushed.ok()) {
+    ++(state == InstallState::kPending ? shard.stats.repushes
+                                       : shard.stats.rollback_pushes);
+  }
+  return ClassifyPush(std::move(pushed));
 }
 
 support::Status TrustedServer::MaterializeRowPackages(Shard& shard,
@@ -701,11 +629,8 @@ support::Status TrustedServer::UninstallApp(UserId user, const std::string& vin,
   std::shared_lock lock(catalog_mutex_);
   Shard& shard = ShardFor(vin);
   FleetStore& store = shard.store;
-  const std::uint32_t vehicle = store.Find(vin);
-  if (vehicle == kNil || !store.bound(vehicle)) {
-    return support::NotFound("VIN: " + vin);
-  }
-  DACM_RETURN_IF_ERROR(CheckOwnership(user, store.owner(vehicle), vin));
+  DACM_ASSIGN_OR_RETURN(const std::uint32_t vehicle,
+                        OwnedVehicle(shard, user, vin));
   const std::uint32_t r = store.FindRow(vehicle, app_name);
   if (r == kNil) return support::NotFound("app not installed: " + app_name);
 
@@ -716,21 +641,10 @@ support::Status TrustedServer::UninstallApp(UserId user, const std::string& vin,
     return support::DependencyViolation("apps depending on " + app_name +
                                         " must be uninstalled first: " + dependents);
   }
-
-  FleetStore::InstallRow& row = store.row(r);
-  // Write-ahead: half-removed before any uninstall message leaves.
-  WriteStatus(vin, row, Want::kDeinstall, DbState::kHalfRemoved);
-  row.state = InstallState::kUninstalling;
-  for (std::size_t i = 0; i < row.manifest->plugins.size(); ++i) {
-    const BatchManifest::Plugin& plugin = row.manifest->plugins[i];
-    row.acked &= ~(std::uint64_t{1} << i);
-    row.ack_ok &= ~(std::uint64_t{1} << i);
-    pirte::PirteMessage message;
-    message.type = pirte::MessageType::kUninstall;
-    message.plugin_name = plugin.name;
-    message.target_ecu = plugin.ecu_id;
-    DACM_RETURN_IF_ERROR(PushToVehicle(shard, vehicle, vin, message));
-  }
+  DACM_ASSIGN_OR_RETURN(sim::NetPeer* peer, ReachablePeer(shard, vehicle));
+  DACM_RETURN_IF_ERROR(
+      PushRow(shard, vehicle, r, peer, InstallState::kUninstalling,
+              FullMask(store.row(r).manifest->plugins.size())));
   ++shard.stats.uninstalls;
   return support::OkStatus();
 }
@@ -740,51 +654,34 @@ support::Status TrustedServer::Restore(UserId user, const std::string& vin,
   std::shared_lock lock(catalog_mutex_);
   Shard& shard = ShardFor(vin);
   FleetStore& store = shard.store;
-  const std::uint32_t vehicle = store.Find(vin);
-  if (vehicle == kNil || !store.bound(vehicle)) {
-    return support::NotFound("VIN: " + vin);
-  }
-  DACM_RETURN_IF_ERROR(CheckOwnership(user, store.owner(vehicle), vin));
+  DACM_ASSIGN_OR_RETURN(const std::uint32_t vehicle,
+                        OwnedVehicle(shard, user, vin));
   // "The server filters out previously installed plug-ins in the replaced
   // ECU ... Next, the usual installation steps are followed."  The recorded
   // packages are re-pushed verbatim, so the restored ECU gets the same
   // unique ids and contexts it had before.
-  bool any = false;
+  sim::NetPeer* peer = nullptr;  // resolved before the first row is touched
   for (std::uint32_t r = store.row_head(vehicle); r != kNil;
        r = store.row(r).next) {
-    {
-      const FleetStore::InstallRow& row = store.row(r);
-      const bool touches = std::any_of(
-          row.manifest->plugins.begin(), row.manifest->plugins.end(),
-          [&](const BatchManifest::Plugin& plugin) {
-            return plugin.ecu_id == ecu_id;
-          });
-      if (!touches) continue;
+    const std::vector<BatchManifest::Plugin>& plugins =
+        store.row(r).manifest->plugins;
+    std::uint64_t on_ecu = 0;
+    for (std::size_t i = 0; i < plugins.size(); ++i) {
+      if (plugins[i].ecu_id == ecu_id) on_ecu |= std::uint64_t{1} << i;
     }
-    any = true;
+    if (on_ecu == 0) continue;
+    if (peer == nullptr) {
+      DACM_ASSIGN_OR_RETURN(peer, ReachablePeer(shard, vehicle));
+    }
     // A recovered (or converged) row has no payload; rebuild from the
     // catalog before re-pushing (same ids when the layout is unchanged).
     if (store.row(r).payload == nullptr) {
       DACM_RETURN_IF_ERROR(MaterializeRowPackages(shard, vehicle, r));
     }
-    FleetStore::InstallRow& row = store.row(r);
-    // Write-ahead: the row drops back to in-flight before the re-push.
-    WriteStatus(vin, row, Want::kInstall, DbState::kHalfInstalled);
-    row.state = InstallState::kPending;
-    for (std::size_t i = 0; i < row.manifest->plugins.size(); ++i) {
-      const BatchManifest::Plugin& plugin = row.manifest->plugins[i];
-      if (plugin.ecu_id != ecu_id) continue;
-      row.acked &= ~(std::uint64_t{1} << i);
-      row.ack_ok &= ~(std::uint64_t{1} << i);
-      pirte::PirteMessage message;
-      message.type = pirte::MessageType::kInstallPackage;
-      message.plugin_name = plugin.name;
-      message.target_ecu = plugin.ecu_id;
-      message.payload = row.payload->packages[i];
-      DACM_RETURN_IF_ERROR(PushToVehicle(shard, vehicle, vin, message));
-    }
+    DACM_RETURN_IF_ERROR(
+        PushRow(shard, vehicle, r, peer, InstallState::kPending, on_ecu));
   }
-  if (!any) {
+  if (peer == nullptr) {
     return support::NotFound("no installed plug-ins on ECU " + std::to_string(ecu_id));
   }
   ++shard.stats.restores;
@@ -918,12 +815,99 @@ void TrustedServer::FoldStatsToMetrics() const {
 
 // --- internals ---------------------------------------------------------------------------
 
-support::Status TrustedServer::CheckOwnership(UserId user, UserId owner,
-                                              std::string_view vin) const {
+support::Result<std::uint32_t> TrustedServer::OwnedVehicle(
+    const Shard& shard, UserId user, std::string_view vin) const {
+  const std::uint32_t vehicle = shard.store.Find(vin);
+  if (vehicle == kNil || !shard.store.bound(vehicle)) {
+    return support::NotFound("VIN: " + std::string(vin));
+  }
   if (user.value() >= users_.size()) return support::NotFound("unknown user");
-  if (owner != user) {
+  if (shard.store.owner(vehicle) != user) {
     return support::PermissionDenied("vehicle " + std::string(vin) +
                                      " is not bound to this user");
+  }
+  return vehicle;
+}
+
+support::Result<sim::NetPeer*> TrustedServer::ReachablePeer(
+    const Shard& shard, std::uint32_t vehicle) const {
+  sim::NetPeer* peer = shard.store.FirstConnectedPeer(vehicle);
+  if (peer == nullptr) {
+    return support::Unavailable("vehicle offline: " +
+                                std::string(shard.store.VinOf(vehicle)));
+  }
+  if (!network_.link_up()) return support::Unavailable("network link down");
+  return peer;
+}
+
+support::Status TrustedServer::PushRow(Shard& shard, std::uint32_t vehicle,
+                                       std::uint32_t r, sim::NetPeer* peer,
+                                       InstallState state, std::uint64_t pushed,
+                                       const CachedBatch* fresh) {
+  FleetStore& store = shard.store;
+  const std::string_view vin = store.VinOf(vehicle);
+  const BatchManifest& manifest =
+      fresh != nullptr ? *fresh->manifest : *store.row(r).manifest;
+  const BatchPayload* payload =
+      fresh != nullptr ? fresh->payload.get() : store.row(r).payload.get();
+  const bool installing = state == InstallState::kPending;
+  // The cached envelope a fan-out records; interactive pushes serialize
+  // one message per plug-in from the same payload.
+  const support::SharedBytes* wire =
+      !installing          ? &manifest.uninstall_wire
+      : payload != nullptr ? &payload->install_wire
+                           : nullptr;
+  if (wire == nullptr || wire->empty()) {
+    // Belt and braces: every caller rematerializes a dropped payload
+    // before pushing; an empty wire reaching here is a server bug, not a
+    // vehicle-side condition, and must not be confused with "offline".
+    return support::Internal("refusing to push empty wire to " +
+                             std::string(vin));
+  }
+
+  if (fresh != nullptr) {
+    r = store.AddRow(vehicle);
+    store.row(r).manifest = fresh->manifest;
+    store.row(r).payload = fresh->payload;
+  }
+  FleetStore::InstallRow& row = store.row(r);
+  // Write-ahead: the half state's paragraph hits the status DB before the
+  // push leaves, so a crash between push and ack recovers into a row the
+  // next wave retries.  A re-push of a row already in that state would
+  // write the same paragraph again, so it writes none.
+  if (fresh != nullptr || row.state != state) {
+    WriteStatus(vin, row, WantFor(state), DbStateFor(state));
+    row.state = state;
+  }
+  row.acked &= ~pushed;
+  row.ack_ok &= ~pushed;
+  // Sim time of the wire push: the convergence path turns this into the
+  // push→ack round-trip histogram and trace span.  Safe off-thread: the
+  // simulation clock is frozen while workers run (the sim thread is
+  // blocked at the pool barrier).
+  row.pushed_at = network_.simulator().Now();
+
+  if (shard.outbox != nullptr) {
+    // A fan-out worker records the cached batch envelope (a refcount bump,
+    // no per-vehicle serialization) for the fan-out's caller to send.
+    assert(shard.outbox->peer == nullptr && "one push per fan-out VIN");
+    *shard.outbox = StagedPush{peer, *wire};
+    ++shard.stats.packages_pushed;
+    return support::OkStatus();
+  }
+  // Interactive operations: one message per pushed plug-in, the paper's
+  // protocol.
+  for (std::size_t i = 0; i < manifest.plugins.size(); ++i) {
+    if (((pushed >> i) & 1) == 0) continue;
+    pirte::PirteMessage message;
+    message.type = installing ? pirte::MessageType::kInstallPackage
+                              : pirte::MessageType::kUninstall;
+    message.plugin_name = manifest.plugins[i].name;
+    message.target_ecu = manifest.plugins[i].ecu_id;
+    if (installing) message.payload = payload->packages[i];
+    SendReachable(*peer,
+                  support::SharedBytes(pirte::SerializeEnveloped(vin, message)));
+    ++shard.stats.packages_pushed;
   }
   return support::OkStatus();
 }
@@ -1546,45 +1530,6 @@ void TrustedServer::ApplyStagedAck(Shard& shard, const StagedAck& staged) {
           staged.seq, true, "undecodable ack batch from " + staged.vin});
     }
   }
-}
-
-support::Status TrustedServer::PushToVehicle(Shard& shard,
-                                             std::uint32_t vehicle,
-                                             const std::string& vin,
-                                             const pirte::PirteMessage& message) {
-  return PushWireToVehicle(
-      shard, vehicle, vin,
-      support::SharedBytes(pirte::SerializeEnveloped(vin, message)));
-}
-
-support::Status TrustedServer::PushWireToVehicle(Shard& shard,
-                                                 std::uint32_t vehicle,
-                                                 std::string_view vin,
-                                                 const support::SharedBytes& wire) {
-  if (wire.empty()) {
-    // Belt and braces: every caller rematerializes a dropped payload
-    // before pushing; an empty wire reaching here is a server bug, not a
-    // vehicle-side condition, and must not be confused with "offline".
-    return support::Internal("refusing to push empty wire to " +
-                             std::string(vin));
-  }
-  sim::NetPeer* peer = shard.store.FirstConnectedPeer(vehicle);
-  if (peer == nullptr) {
-    return support::Unavailable("vehicle offline: " + std::string(vin));
-  }
-  if (shard.outbox == nullptr) {
-    DACM_RETURN_IF_ERROR(peer->Send(wire));
-  } else {
-    // A fan-out worker: make Send's own check (the peer is connected, by
-    // FirstConnectedPeer) and leave the send to the fan-out's caller.
-    // Nothing can flip the link or close the peer while the simulation
-    // thread waits on the pool, so the caller's send cannot fail.
-    if (!network_.link_up()) return support::Unavailable("network link down");
-    assert(shard.outbox->peer == nullptr && "one push per fan-out VIN");
-    *shard.outbox = StagedPush{peer, wire};
-  }
-  ++shard.stats.packages_pushed;
-  return support::OkStatus();
 }
 
 void TrustedServer::ApplyBatchNack(Shard& shard, std::uint32_t vehicle,

@@ -29,6 +29,12 @@
 // sits behind a shared_mutex: web-service mutators take it exclusively,
 // deploy workers share it.
 //
+// Pushing: every operation ends in one row push (PushRow), made after the
+// vehicle is known to be reachable (NetPeer::Send's own checks, the only
+// ways a push can fail) and before anything else: the write-ahead status
+// paragraph, the row's state and ack bits.  A push that cannot leave
+// changes nothing, so no operation has an undo path.
+//
 // Inbound acknowledgements — the server's highest-volume traffic — are
 // staged into per-shard inboxes by the simulation thread and applied in
 // parallel (one worker per shard) at a flush event scheduled for the
@@ -142,9 +148,9 @@ struct CampaignReport {
   std::size_t rejected = 0;
   /// Per-VIN rejection reasons, in `vins` order.
   std::vector<std::pair<std::string, support::Status>> failures;
-  /// Worker-side processing time per vehicle (ns), in `vins` order:
-  /// compatibility checks, context generation, package assembly and push
-  /// recording.  Used for tail-latency tracking.
+  /// Worker-side processing time per vehicle (ns), in `vins` order, as
+  /// observed into dacm_deploy_push_nanos: compatibility checks, context
+  /// generation, package assembly and the push step.
   std::vector<std::uint64_t> per_vehicle_ns;
 };
 
@@ -346,9 +352,9 @@ class TrustedServer {
     /// concurrently (the pool barrier separates the two phases).
     std::vector<StagedAck> ack_inbox;
     std::vector<DeferredLog> flush_logs;
-    /// Inside a fan-out, the current VIN's push slot: PushWireToVehicle
-    /// records there instead of sending.  Null everywhere else, so the
-    /// interactive operations send directly.
+    /// Inside a fan-out, the current VIN's push slot: PushRow records the
+    /// batch envelope there instead of sending.  Null everywhere else, so
+    /// the interactive operations send directly.
     StagedPush* outbox = nullptr;
   };
 
@@ -380,35 +386,50 @@ class TrustedServer {
   /// partitions `vins` by shard, runs visit(shard, i) for each input
   /// position on the shard's worker with the shard's outbox pointed at
   /// slot i, then — after the join, on the calling thread — sends the
-  /// recorded pushes in `vins` order.
-  void FanOut(std::span<const std::string> vins,
-              const std::function<void(Shard&, std::size_t)>& visit);
+  /// recorded pushes in `vins` order.  Returns each visit's wall time (ns),
+  /// which it also observes into dacm_deploy_push_nanos.
+  std::vector<std::uint64_t> FanOut(
+      std::span<const std::string> vins,
+      const std::function<void(Shard&, std::size_t)>& visit);
 
-  support::Status CheckOwnership(UserId user, UserId owner,
-                                 std::string_view vin) const;
+  /// Push step 1: the handle of `vin` if `user` owns it (NotFound for an
+  /// unknown VIN or user, PermissionDenied for another user's vehicle).
+  support::Result<std::uint32_t> OwnedVehicle(const Shard& shard, UserId user,
+                                              std::string_view vin) const;
+  /// Step 2: the connection a push to `vehicle` leaves on, or kUnavailable.
+  /// Makes NetPeer::Send's own two checks (a connected peer, the link up),
+  /// so a push that gets a peer here cannot fail to send.
+  support::Result<sim::NetPeer*> ReachablePeer(const Shard& shard,
+                                               std::uint32_t vehicle) const;
+  /// Steps 3-5 on a `peer` from ReachablePeer.  Refuses a missing or empty
+  /// wire with kInternal before it touches anything.  Then writes the
+  /// write-ahead paragraph unless the row is already in `state` (kPending
+  /// installs, kUninstalling removes), moves the row there, clears the
+  /// `pushed` plug-ins' ack bits, stamps pushed_at and sends: inside a
+  /// fan-out it records the cached batch envelope in the outbox, elsewhere
+  /// it sends one message per pushed plug-in.  `r` == kNil adds a row for
+  /// `fresh` once the wire check passed.
+  support::Status PushRow(Shard& shard, std::uint32_t vehicle, std::uint32_t r,
+                          sim::NetPeer* peer, InstallState state,
+                          std::uint64_t pushed,
+                          const CachedBatch* fresh = nullptr);
   support::Result<const VehicleModelConf*> ModelConf(const std::string& model) const;
   /// Name of an interned model id (catalog read lock or sim thread).
   const std::string& ModelName(std::uint16_t model_id) const {
     return model_names_[model_id];
   }
 
-  /// The full per-vehicle deploy pipeline.  Caller must hold the catalog
-  /// read lock and own `shard`.  `batched` selects one kInstallBatch push
-  /// (campaigns) vs one push per plug-in (interactive Deploy).
+  /// The full per-vehicle deploy pipeline, ending in PushRow on a fresh row.
+  /// Every rejection after the ownership check counts in deploys_rejected.
+  /// Caller must hold the catalog read lock and own `shard`.
   support::Status DeployOnShard(Shard& shard, UserId user, const std::string& vin,
-                                const App& app, bool batched);
+                                const App& app);
 
   /// One VIN of a campaign wave.  Caller must hold the catalog read lock
   /// and own `shard`; `app` is null for rollback waves.
   WaveOutcome WavePushOnShard(Shard& shard, UserId user, const std::string& vin,
                               const std::string& app_name, const App* app,
                               CampaignKind kind);
-  /// Re-pushes the install batch of a stale kPending row (previous
-  /// wave's acks were lost), resetting its ack masks.  Rematerializes the
-  /// payload — dropped on convergence, never persisted — before pushing,
-  /// so it never sends an empty wire.
-  support::Status RepushInstallBatch(Shard& shard, std::uint32_t vehicle,
-                                     std::uint32_t row);
   /// Regenerates `row`'s packages from the catalog (caller holds the
   /// read lock and owns the vehicle's shard): derives the occupied ids
   /// of the vehicle's *other* rows, acquires the cached batch for that
@@ -428,16 +449,6 @@ class TrustedServer {
   /// Schedules the ack-inbox flush event at Now() (once per batch of
   /// arrivals).
   void ScheduleAckFlush();
-  support::Status PushToVehicle(Shard& shard, std::uint32_t vehicle,
-                                const std::string& vin,
-                                const pirte::PirteMessage& message);
-  /// Pushes an already-serialized envelope (cached campaign batches are
-  /// pushed this way: one refcount bump, no serialization).  Inside a
-  /// fan-out it makes Send's checks and records the push in the shard's
-  /// outbox instead of sending.
-  support::Status PushWireToVehicle(Shard& shard, std::uint32_t vehicle,
-                                    std::string_view vin,
-                                    const support::SharedBytes& wire);
 
   // Ack application (flush phase: runs on the shard's worker; `seq` keys
   // the deferred logs).

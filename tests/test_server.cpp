@@ -1,14 +1,20 @@
 // Unit tests for the trusted server: user setup, uploads, the deploy
 // pipeline's compatibility / dependency / conflict checks, unique-id
 // allocation, acknowledgement bookkeeping, uninstall dependency guards,
-// and the restore operation — exercised against a scripted fake vehicle
-// so every server decision is observable without a full vehicle stack.
+// the restore operation, and the push step's rule that a push which
+// cannot leave changes nothing — exercised against a scripted fake
+// vehicle so every server decision is observable without a full vehicle
+// stack.
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "fes/appgen.hpp"
 #include "fes/fleet.hpp"
 #include "fes/testbed.hpp"
 #include "server/server.hpp"
+#include "support/metrics.hpp"
+#include "support/storage.hpp"
 
 namespace dacm::server {
 namespace {
@@ -65,9 +71,15 @@ struct FakeEcm {
 };
 
 struct ServerFixture : ::testing::Test {
+  /// `durable` gives the server a write-ahead status log in `status_log`.
+  explicit ServerFixture(bool durable = false)
+      : server(network, "srv:443",
+               ServerOptions{1, durable ? &status_log : nullptr}) {}
+
   sim::Simulator simulator;
   sim::Network network{simulator, sim::kMillisecond};
-  TrustedServer server{network, "srv:443"};
+  support::MemorySink status_log;
+  TrustedServer server;
   UserId alice = UserId::Invalid();
   std::unique_ptr<FakeEcm> ecm;
 
@@ -354,6 +366,139 @@ TEST_F(ServerFixture, RestoreOnlyTouchesTheReplacedEcu) {
   EXPECT_TRUE(ecm->pushed.empty());
 }
 
+TEST_F(ServerFixture, RestoreRoundTripStartsAtTheRestorePush) {
+  DeployAndAck("app");
+  simulator.RunFor(10 * sim::kSecond);
+  support::Histogram& roundtrip =
+      support::Metrics::Instance().GetHistogram("dacm_deploy_roundtrip_us");
+  const std::uint64_t count = roundtrip.Count();
+  const std::uint64_t sum = roundtrip.Sum();
+  ASSERT_TRUE(server.Restore(alice, "VIN-1", 1).ok());
+  Settle();
+  ecm->Ack("app.p0", true);
+  ASSERT_EQ(*server.AppState("VIN-1", "app"), InstallState::kInstalled);
+  // One round trip on the fixture's 1 ms links (push out, ack back), not
+  // the 10 s since the original deploy.
+  EXPECT_EQ(roundtrip.Count() - count, 1u);
+  EXPECT_EQ(roundtrip.Sum() - sum, 2 * sim::kMillisecond);
+}
+
+// --- a push that cannot leave changes nothing --------------------------------------------------
+
+/// ServerFixture with a write-ahead status log.  Every operation checks
+/// that the vehicle is reachable before it touches a row, so a push that
+/// cannot leave must leave the row, the fingerprint, the log and the
+/// fleet a crash would recover exactly as they were.
+struct DurableServerFixture : ServerFixture {
+  DurableServerFixture() : ServerFixture(/*durable=*/true) {}
+
+  struct Snapshot {
+    std::string row;  // the app's DescribeFleet() line ("" when absent)
+    std::uint64_t fingerprint = 0;
+    support::Bytes log;
+    std::string recovered;
+  };
+
+  /// `app`'s line of DescribeFleet(): its state, acked and ack_ok masks.
+  std::string RowLine(const std::string& app) const {
+    const std::string fleet = server.DescribeFleet();
+    const std::size_t at = fleet.find("  " + app + " v");
+    if (at == std::string::npos) return "";
+    return fleet.substr(at, fleet.find('\n', at) - at);
+  }
+
+  /// The fleet a server recovered from the status log describes.
+  std::string RecoveredFleet() {
+    TrustedServer recovered(network, "srv-recovered:443");
+    EXPECT_TRUE(recovered.RecoverInstallDb(status_log.bytes()).ok());
+    return recovered.DescribeFleet();
+  }
+
+  Snapshot Take(const std::string& app) {
+    return Snapshot{RowLine(app), server.FleetFingerprint(), status_log.bytes(),
+                    RecoveredFleet()};
+  }
+
+  void ExpectUnchanged(const Snapshot& before, const std::string& app) {
+    EXPECT_EQ(RowLine(app), before.row);
+    EXPECT_EQ(server.FleetFingerprint(), before.fingerprint);
+    EXPECT_EQ(status_log.bytes().size(), before.log.size());
+    EXPECT_TRUE(status_log.bytes() == before.log);
+    EXPECT_EQ(RecoveredFleet(), before.recovered);
+  }
+
+  /// A converged two-plug-in "app": installed acked=3 ack_ok=3.
+  void InstallTwoPluginApp() {
+    ASSERT_TRUE(server.UploadApp(EchoApp("app", 2)).ok());
+    DeployAndAck("app");
+  }
+
+  WaveOutcome Wave(CampaignKind kind) {
+    const std::vector<std::string> vins = {"VIN-1"};
+    return server.CampaignWavePush(alice, "app", kind, vins)[0];
+  }
+};
+
+TEST_F(DurableServerFixture, DeployOverDownedLinkChangesNothing) {
+  ASSERT_TRUE(server.UploadApp(EchoApp("app", 2)).ok());
+  const Snapshot before = Take("app");
+  network.SetLinkUp(false);
+  EXPECT_EQ(server.Deploy(alice, "VIN-1", "app").code(),
+            support::ErrorCode::kUnavailable);
+  ExpectUnchanged(before, "app");
+}
+
+TEST_F(DurableServerFixture, UninstallOverDownedLinkChangesNothing) {
+  InstallTwoPluginApp();
+  const Snapshot before = Take("app");
+  network.SetLinkUp(false);
+  EXPECT_EQ(server.UninstallApp(alice, "VIN-1", "app").code(),
+            support::ErrorCode::kUnavailable);
+  ExpectUnchanged(before, "app");
+}
+
+TEST_F(DurableServerFixture, RestoreOverDownedLinkChangesNothing) {
+  InstallTwoPluginApp();
+  const Snapshot before = Take("app");
+  network.SetLinkUp(false);
+  EXPECT_EQ(server.Restore(alice, "VIN-1", 1).code(),
+            support::ErrorCode::kUnavailable);
+  ExpectUnchanged(before, "app");
+}
+
+TEST_F(DurableServerFixture, WaveRepushOverDownedLinkKeepsTheAckedPlugin) {
+  ASSERT_TRUE(server.UploadApp(EchoApp("app", 2)).ok());
+  ASSERT_EQ(Wave(CampaignKind::kDeploy).action, WaveOutcome::Action::kPushed);
+  Settle();
+  ecm->Ack("app.p0", true);  // one of two plug-ins acked: pending acked=1
+  const Snapshot before = Take("app");
+  network.SetLinkUp(false);
+  const WaveOutcome outcome = Wave(CampaignKind::kDeploy);
+  EXPECT_EQ(outcome.action, WaveOutcome::Action::kOffline);
+  EXPECT_EQ(outcome.status.code(), support::ErrorCode::kUnavailable);
+  ExpectUnchanged(before, "app");
+}
+
+TEST_F(DurableServerFixture, RollbackWaveOverDownedLinkChangesNothing) {
+  InstallTwoPluginApp();
+  const Snapshot before = Take("app");
+  network.SetLinkUp(false);
+  const WaveOutcome outcome = Wave(CampaignKind::kRollback);
+  EXPECT_EQ(outcome.action, WaveOutcome::Action::kOffline);
+  EXPECT_EQ(outcome.status.code(), support::ErrorCode::kUnavailable);
+  ExpectUnchanged(before, "app");
+}
+
+TEST_F(DurableServerFixture, RollbackWaveToOfflineVehicleChangesNothing) {
+  InstallTwoPluginApp();
+  const Snapshot before = Take("app");
+  ecm->peer->Close();
+  const WaveOutcome outcome = Wave(CampaignKind::kRollback);
+  EXPECT_EQ(outcome.action, WaveOutcome::Action::kOffline);
+  EXPECT_EQ(outcome.status.code(), support::ErrorCode::kUnavailable);
+  ExpectUnchanged(before, "app");
+}
+
 // --- campaigns -------------------------------------------------------------------------------
 
 /// Fixture for fleet campaigns: a sharded server and a scripted fleet.
@@ -630,6 +775,30 @@ TEST_F(CampaignFixture, ConvergenceDropsTheCachedPayload) {
   }
 }
 
+TEST_F(CampaignFixture, EveryFanOutTimesItsVisitsIntoThePushHistogram) {
+  support::Histogram& push_nanos =
+      support::Metrics::Instance().GetHistogram("dacm_deploy_push_nanos");
+  ASSERT_TRUE(server.UploadApp(FleetApp("app")).ok());
+  std::uint64_t count = push_nanos.Count();
+  std::uint64_t sum = push_nanos.Sum();
+  auto report = server.DeployCampaign(alice, "app", fleet->vins());
+  ASSERT_TRUE(report.ok());
+  // The report's per-vehicle timings are exactly the observations.
+  EXPECT_EQ(push_nanos.Count() - count, kFleet);
+  EXPECT_EQ(push_nanos.Sum() - sum,
+            std::accumulate(report->per_vehicle_ns.begin(),
+                            report->per_vehicle_ns.end(), std::uint64_t{0}));
+  simulator.Run();
+
+  // Campaign-engine waves go through the same fan-out and report too.
+  count = push_nanos.Count();
+  sum = push_nanos.Sum();
+  (void)server.CampaignWavePush(alice, "app", CampaignKind::kRollback,
+                                fleet->vins());
+  EXPECT_EQ(push_nanos.Count() - count, kFleet);
+  EXPECT_GT(push_nanos.Sum() - sum, 0u);
+}
+
 TEST_F(CampaignFixture, RollbackReusesTheCachedUninstallBatch) {
   ASSERT_TRUE(server.UploadApp(FleetApp("app", /*plugins=*/2)).ok());
   ASSERT_TRUE(server.DeployCampaign(alice, "app", fleet->vins()).ok());
@@ -672,6 +841,27 @@ TEST_F(ServerFixture, StatsTrackOperations) {
   ASSERT_TRUE(server.UploadApp(EchoApp("bad", 1, {"missing-dep"})).ok());
   (void)server.Deploy(alice, "VIN-1", "bad");
   EXPECT_EQ(server.stats().deploys_rejected, 1u);
+}
+
+TEST_F(ServerFixture, PackageGenerationRejectionsCount) {
+  // No placement for the plug-in: the compatibility checks pass and
+  // package generation rejects the deploy.
+  auto unplaced = EchoApp("unplaced");
+  unplaced.confs[0].placements.clear();
+  ASSERT_TRUE(server.UploadApp(unplaced).ok());
+  auto needs_port = EchoApp("needsvp");
+  needs_port.confs[0].required_virtual_ports = {"NonexistentPort"};
+  ASSERT_TRUE(server.UploadApp(needs_port).ok());
+
+  const std::uint64_t rejected = server.stats().deploys_rejected;
+  EXPECT_EQ(server.Deploy(alice, "VIN-1", "unplaced").code(),
+            support::ErrorCode::kIncompatible);
+  EXPECT_EQ(server.stats().deploys_rejected, rejected + 1);
+  // Counted like a rejection by the compatibility checks.
+  EXPECT_EQ(server.Deploy(alice, "VIN-1", "needsvp").code(),
+            support::ErrorCode::kIncompatible);
+  EXPECT_EQ(server.stats().deploys_rejected, rejected + 2);
+  EXPECT_FALSE(server.AppState("VIN-1", "unplaced").ok());
 }
 
 TEST_F(ServerFixture, VehicleOnlineTracksConnection) {
